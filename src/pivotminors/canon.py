@@ -1,11 +1,18 @@
-"""Canonical keys, isomorphism testing, and induced-subgraph search.
+"""Canonical forms, isomorphism testing, and induced-subgraph search.
 
-The canonical key of a graph is the graph6 encoding of a distinguished
-relabelling: the lexicographically smallest upper-triangle bit string over
-all vertex orders that respect the (degree, sorted neighbour degrees)
-partition.  Restricting to such orders is an isomorphism-invariant pruning,
-so two graphs get the same key exactly when they are isomorphic.  Intended
-for small graphs; the default cap is 16 vertices.
+The canonical form of a graph is a distinguished relabelling: the one with
+the lexicographically smallest upper-triangle bit string over all vertex
+orders that respect the (degree, sorted neighbour degrees) partition.
+Restricting to such orders is an isomorphism-invariant pruning, so two
+graphs get equal forms exactly when they are isomorphic.  The form is the
+library's class identity: memo tables key on it, and graph6 (the canonical
+key) only encodes it for output.  Intended for small graphs; the default
+cap is 16 vertices.
+
+Forms are cached in one table in which every representative maps to
+itself, so all relabellings of a class share one Graph object.  The table,
+and by default each containment memo, holds at most CACHE_CAP entries
+(PIVOTMINORS_CACHE_CAP in the environment).
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from .io import to_graph6
 
 CANON_MAX_VERTICES = 16
 
-_KEY_CACHE: dict[Graph, str] = {}
-_KEY_CACHE_CAP = int(os.environ.get("PIVOTMINORS_CACHE_CAP", str(1 << 21)))
+CACHE_CAP = int(os.environ.get("PIVOTMINORS_CACHE_CAP", str(1 << 21)))
+
+_FORMS: dict[Graph, Graph] = {}
 
 
 def _canonical_perm(g: Graph) -> tuple[int, ...]:
@@ -90,7 +98,13 @@ def _canonical_perm(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_form(g: Graph) -> Graph:
-    """The canonically relabelled representative of g's isomorphism class."""
+    """The canonically relabelled representative of g's isomorphism class.
+
+    While the cache has room, every call for one class returns the same
+    object."""
+    form = _FORMS.get(g)
+    if form is not None:
+        return form
     if g.n > CANON_MAX_VERTICES:
         raise ValueError(
             f"canonical form capped at {CANON_MAX_VERTICES} vertices, got {g.n}"
@@ -105,22 +119,16 @@ def canonical_form(g: Graph) -> Graph:
         for w in _bits(g.rows[v]):
             m |= 1 << pos[w]
         rows[i] = m
-    return Graph._make(g.n, tuple(rows))
+    form = Graph._make(g.n, tuple(rows))
+    if len(_FORMS) + 1 < CACHE_CAP:  # room for the form and for g
+        form = _FORMS.setdefault(form, form)
+        _FORMS[g] = form
+    return form
 
 
 def canonical_key(g: Graph) -> str:
     """graph6 string of the canonical form; equal keys iff isomorphic."""
-    key = _KEY_CACHE.get(g)
-    if key is None:
-        key = to_graph6(canonical_form(g))
-        if len(_KEY_CACHE) < _KEY_CACHE_CAP:
-            _KEY_CACHE[g] = key
-    return key
-
-
-def _seed_key_cache(g: Graph, key: str) -> None:
-    if len(_KEY_CACHE) < _KEY_CACHE_CAP:
-        _KEY_CACHE[g] = key
+    return to_graph6(canonical_form(g))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -128,7 +136,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    return canonical_key(g) == canonical_key(h)
+    return canonical_form(g) == canonical_form(h)
 
 
 def isomorphism(g: Graph, h: Graph) -> list[int] | None:

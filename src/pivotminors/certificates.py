@@ -18,13 +18,14 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import canonical_key, isomorphism
+from .canon import canonical_form, canonical_key, isomorphism
 from .containment import (
     DEFAULT_ORBIT_LIMIT,
     OrbitLimitError,
     PivotMinorCache,
     Verdict,
     contains_pivot_minor,
+    pivot_orbit,
 )
 from .graphs import Graph, delete_vertex, induced_subgraph, pivot
 from .io import to_graph6
@@ -139,33 +140,15 @@ def find_pivot_minor_sequence(
             raise AssertionError("containment held but no reduction worked")
 
     # same order: walk the pivot orbit of cur to an isomorphic copy of h
-    kh = canonical_key(h)
-    parents: dict[Graph, tuple[Graph, int, int] | None] = {cur: None}
-    queue = [cur]
-    found: Graph | None = None
-    if canonical_key(cur) == kh:
-        found = cur
-    qi = 0
-    while qi < len(queue) and found is None:
-        node = queue[qi]
-        qi += 1
-        for u, v in node.edges():
-            nxt = pivot(node, u, v)
-            if nxt in parents:
-                continue
-            parents[nxt] = (node, u, v)
-            if len(parents) > orbit_limit:
-                raise OrbitLimitError(orbit_limit)
-            if canonical_key(nxt) == kh:
-                found = nxt
-                break
-            queue.append(nxt)
+    fh = canonical_form(h)
+    links = pivot_orbit(cur, limit=orbit_limit)
+    found = next((x for x in links if canonical_form(x) == fh), None)
     if found is None:
         raise AssertionError("containment held but the orbit missed h")
     path: list[Step] = []
     node = found
-    while parents[node] is not None:
-        prev, u, v = parents[node]
+    while links[node] is not None:
+        prev, u, v = links[node]
         path.append(PivotEdge(u, v))
         node = prev
     steps.extend(reversed(path))

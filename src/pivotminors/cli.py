@@ -153,7 +153,7 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_mine(args) -> int:
     h = load_graph_arg(args.h)
-    obs = mine(h, args.nmax, target_name=args.h, workers=args.workers)
+    obs = mine(h, args.nmax, target_name=args.h)
     keys = sorted(obs.member_keys)
     if args.out:
         out = Path(args.out)
@@ -184,7 +184,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_check_bound(args) -> int:
-    record = check_bound(args.family, args.t, args.nmax, workers=args.workers)
+    record = check_bound(args.family, args.t, args.nmax)
     payload = {
         "family": record.family,
         "t": record.t,
@@ -309,14 +309,7 @@ def _cmd_reduce(args) -> int:
                 graphs.append(parse_graph_text(line))
     else:
         graphs.append(load_graph_arg(args.input))
-    reports = []
-    if args.workers > 1 and len(graphs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(reduction_roundtrip, graphs))
-    else:
-        reports = [reduction_roundtrip(g) for g in graphs]
+    reports = [reduction_roundtrip(g) for g in graphs]
     payload = {"reports": reports}
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
@@ -373,7 +366,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--h", required=True, help="target graph")
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--out", help="directory for members.g6 + manifest.json")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_mine)
 
@@ -382,7 +374,6 @@ def build_parser() -> _Parser:
                     choices=["tP1", "P2+tP1", "K1,t", "P3+tP1"])
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_check_bound)
 
@@ -422,7 +413,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--in", dest="input", required=True,
                     help="cubic graph(s): file may hold one graph per line")
     sp.add_argument("--report", help="write the JSON report here")
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=_cmd_reduce)
 
     sp = sub.add_parser("gen", help="one graph per isomorphism class")

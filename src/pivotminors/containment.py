@@ -6,7 +6,9 @@ with |g| > |h| exactly when, for some vertex v, h is a pivot-minor of
 g - v or of g / v (pivot v with a neighbour, then delete v; any neighbour
 gives a pivot-equivalent result).  At |g| == |h| the question degenerates
 to pivot equivalence up to isomorphism, settled by enumerating the pivot
-orbit of the target once and comparing canonical keys.
+orbit of the target once and comparing canonical forms.  The search runs
+on canonical forms throughout, so it does not depend on how the input is
+labelled.
 
 Verdicts are three-valued: resource limits surface as INCONCLUSIVE, never
 as a silent false.
@@ -15,12 +17,11 @@ as a silent false.
 from __future__ import annotations
 
 import enum
-import os
 from collections import deque
 
-from .canon import canonical_key
+from .canon import CACHE_CAP, canonical_form
 from .graphs import Graph, contract_pivot, delete_vertex, pivot
-from .io import from_graph6
+from .io import to_graph6
 
 DEFAULT_ORBIT_LIMIT = 1 << 20
 
@@ -48,66 +49,74 @@ class Verdict(enum.Enum):
         return self is not Verdict.INCONCLUSIVE
 
 
-def pivot_orbit(g: Graph, *, limit: int = DEFAULT_ORBIT_LIMIT) -> set[Graph]:
-    """All labelled graphs reachable from g by pivots (g included).
+def pivot_orbit(
+    g: Graph, *, limit: int = DEFAULT_ORBIT_LIMIT
+) -> dict[Graph, tuple[Graph, int, int] | None]:
+    """All labelled graphs reachable from g by pivots (g included), in
+    breadth-first discovery order.
 
-    Raises OrbitLimitError once more than `limit` members appear, rather
-    than silently truncating.
+    Each member maps to its BFS parent link (parent, u, v), meaning the
+    member is pivot(parent, u, v); g itself maps to None.  Raises
+    OrbitLimitError once more than `limit` members appear, rather than
+    silently truncating.
     """
-    seen = {g}
+    links: dict[Graph, tuple[Graph, int, int] | None] = {g: None}
     queue = deque([g])
     while queue:
         cur = queue.popleft()
         for u, v in cur.edges():
             nxt = pivot(cur, u, v)
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > limit:
+            if nxt not in links:
+                links[nxt] = (cur, u, v)
+                if len(links) > limit:
                     raise OrbitLimitError(limit)
                 queue.append(nxt)
-    return seen
+    return links
 
 
 class PivotMinorCache:
     """Shared memo for containment queries.
 
-    verdicts maps (canonical g key, canonical h key) to a bool; children
-    maps a canonical key to the sorted canonical keys of all one-vertex
-    reductions (deletions and contract-pivots); target_orbits maps a
-    canonical key to the canon-key set of its pivot orbit, or, when the
-    enumeration blew the limit, to the largest limit that failed so a
-    later call with a higher limit retries.  The entry cap comes from the
-    PIVOTMINORS_CACHE_CAP environment variable.  Entries are only ever
-    functions of their keys, so concurrent duplicate inserts agree.
+    Every key and value is a canonical form (see canon.canonical_form).
+    verdicts maps (g form, h form) to a bool; children maps a form to the
+    forms of all its one-vertex reductions (deletions and contract-pivots),
+    in ascending graph6 order; target_orbits maps a form to the set of
+    forms in its pivot orbit, or, when the enumeration blew the limit, to
+    the largest limit that failed so a later call with a higher limit
+    retries.  verdicts and children together hold at most max_entries
+    entries, by default canon.CACHE_CAP.
     """
 
     def __init__(self, max_entries: int | None = None):
-        if max_entries is None:
-            max_entries = int(os.environ.get("PIVOTMINORS_CACHE_CAP", str(1 << 21)))
-        self.max_entries = max_entries
-        self.verdicts: dict[tuple[str, str], bool] = {}
-        self.children: dict[str, tuple[str, ...]] = {}
-        self.target_orbits: dict[str, frozenset[str] | int] = {}
+        self.max_entries = CACHE_CAP if max_entries is None else max_entries
+        self.verdicts: dict[tuple[Graph, Graph], bool] = {}
+        self.children: dict[Graph, tuple[Graph, ...]] = {}
+        self.target_orbits: dict[Graph, frozenset[Graph] | int] = {}
         self.hits = 0
         self.misses = 0
 
     def _room(self) -> bool:
         return len(self.verdicts) + len(self.children) < self.max_entries
 
-    def child_keys(self, g: Graph, key: str) -> tuple[str, ...]:
-        kids = self.children.get(key)
+    def child_keys(self, g: Graph) -> tuple[Graph, ...]:
+        """The reductions of the canonical form g, in ascending graph6
+        order.  The search stops at the first TRUE child, so this order
+        sets how much of it is explored."""
+        kids = self.children.get(g)
         if kids is None:
-            ks = set()
+            forms = set()
             for v in range(g.n):
-                ks.add(canonical_key(delete_vertex(g, v)))
-                ks.add(canonical_key(contract_pivot(g, v)))
-            kids = tuple(sorted(ks))
+                forms.add(canonical_form(delete_vertex(g, v)))
+                forms.add(canonical_form(contract_pivot(g, v)))
+            kids = tuple(sorted(forms, key=to_graph6))
             if self._room():
-                self.children[key] = kids
+                self.children[g] = kids
         return kids
 
-    def target_orbit_keys(self, h: Graph, key: str, limit: int) -> frozenset[str] | None:
-        cached = self.target_orbits.get(key)
+    def target_orbit_keys(self, h: Graph, limit: int) -> frozenset[Graph] | None:
+        """The forms in the pivot orbit of the canonical form h, or None
+        when the orbit has more than limit members."""
+        cached = self.target_orbits.get(h)
         if isinstance(cached, frozenset):
             return cached
         if isinstance(cached, int) and limit <= cached:
@@ -115,11 +124,11 @@ class PivotMinorCache:
         try:
             orbit = pivot_orbit(h, limit=limit)
         except OrbitLimitError:
-            self.target_orbits[key] = limit
+            self.target_orbits[h] = limit
             return None
-        keys = frozenset(canonical_key(x) for x in orbit)
-        self.target_orbits[key] = keys
-        return keys
+        forms = frozenset(map(canonical_form, orbit))
+        self.target_orbits[h] = forms
+        return forms
 
     def clear(self) -> None:
         self.verdicts.clear()
@@ -146,27 +155,27 @@ def contains_pivot_minor(
         return Verdict.TRUE
     if g.n < h.n:
         return Verdict.FALSE
-    kh = canonical_key(h)
+    th = canonical_form(h)
 
-    def rec(cur: Graph, key: str) -> Verdict:
-        if cur.n == h.n:
-            orbit_keys = cache.target_orbit_keys(h, kh, orbit_limit)
-            if orbit_keys is None:
+    def rec(cur: Graph) -> Verdict:
+        if cur.n == th.n:
+            orbit = cache.target_orbit_keys(th, orbit_limit)
+            if orbit is None:
                 return Verdict.INCONCLUSIVE
-            return Verdict.TRUE if key in orbit_keys else Verdict.FALSE
-        memo = cache.verdicts.get((key, kh))
+            return Verdict.TRUE if cur in orbit else Verdict.FALSE
+        memo = cache.verdicts.get((cur, th))
         if memo is not None:
             cache.hits += 1
             return Verdict.TRUE if memo else Verdict.FALSE
         cache.misses += 1
         inconclusive = False
         verdict = Verdict.FALSE
-        for kid in cache.child_keys(cur, key):
-            memo = cache.verdicts.get((kid, kh))
+        for kid in cache.child_keys(cur):
+            memo = cache.verdicts.get((kid, th))
             if memo is not None:
                 sub = Verdict.TRUE if memo else Verdict.FALSE
             else:
-                sub = rec(from_graph6(kid), kid)
+                sub = rec(kid)
             if sub is Verdict.TRUE:
                 verdict = Verdict.TRUE
                 break
@@ -175,10 +184,10 @@ def contains_pivot_minor(
         if verdict is not Verdict.TRUE and inconclusive:
             return Verdict.INCONCLUSIVE
         if cache._room():
-            cache.verdicts[(key, kh)] = verdict is Verdict.TRUE
+            cache.verdicts[(cur, th)] = verdict is Verdict.TRUE
         return verdict
 
-    return rec(g, canonical_key(g))
+    return rec(canonical_form(g))
 
 
 def pivot_equivalent(
@@ -188,5 +197,5 @@ def pivot_equivalent(
     if g.n != h.n:
         return False
     orbit = pivot_orbit(h, limit=orbit_limit)
-    kg = canonical_key(g)
-    return any(canonical_key(x) == kg for x in orbit)
+    fg = canonical_form(g)
+    return any(canonical_form(x) == fg for x in orbit)

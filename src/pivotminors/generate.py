@@ -2,14 +2,15 @@
 
 Classes on n vertices are produced by extending every (n-1)-vertex class
 representative with a new vertex in all 2^(n-1) ways and deduplicating by
-canonical key.  Every n-vertex graph arises this way because deleting its
+canonical form.  Every n-vertex graph arises this way because deleting its
 last vertex lands in some (n-1)-vertex class.
 """
 
 from __future__ import annotations
 
-from .canon import _seed_key_cache, canonical_form, canonical_key
+from .canon import canonical_form
 from .graphs import Graph
+from .io import to_graph6
 
 GENERATE_MAX_VERTICES = 9
 
@@ -31,7 +32,7 @@ def generate_all_graphs(n: int, *, max_vertices: int = GENERATE_MAX_VERTICES) ->
     for k in range(1, n + 1):
         if k in _CLASSES:
             continue
-        seen: dict[str, Graph] = {}
+        seen: set[Graph] = set()
         newbit = 1 << (k - 1)
         for parent in _CLASSES[k - 1]:
             prows = parent.rows
@@ -40,12 +41,7 @@ def generate_all_graphs(n: int, *, max_vertices: int = GENERATE_MAX_VERTICES) ->
                     prows[v] | newbit if mask >> v & 1 else prows[v]
                     for v in range(k - 1)
                 ) + (mask,)
-                child = Graph._make(k, rows)
-                key = canonical_key(child)
-                if key not in seen:
-                    rep = canonical_form(child)
-                    _seed_key_cache(rep, key)
-                    seen[key] = rep
-        reps = sorted(seen.values(), key=lambda g: (g.num_edges, canonical_key(g)))
+                seen.add(canonical_form(Graph._make(k, rows)))
+        reps = sorted(seen, key=lambda g: (g.num_edges, to_graph6(g)))
         _CLASSES[k] = tuple(reps)
     return _CLASSES[n]

@@ -174,7 +174,9 @@ def neighborhood_split(g: Graph, u: int, v: int) -> NeighborhoodSplit:
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove v; higher-numbered vertices slide down by one."""
     _check_vertex(g, v)
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
+    low = (1 << v) - 1
+    rows = g.rows[:v] + g.rows[v + 1:]
+    return Graph._make(g.n - 1, tuple((r & low) | (r >> 1 & ~low) for r in rows))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

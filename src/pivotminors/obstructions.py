@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,7 +64,6 @@ def mine(
     *,
     target_name: str | None = None,
     cache: PivotMinorCache | None = None,
-    workers: int = 1,
 ) -> ObstructionSet:
     """Every minimal obstruction for h-pivot-minor-freeness with at most
     n_max vertices.
@@ -81,17 +79,9 @@ def mine(
     members: list[Graph] = []
     unresolved: list[Graph] = []
 
-    def judge(g: Graph) -> tuple[Graph, Verdict]:
-        return g, is_minimal_obstruction(g, h, cache=cache)
-
     for n in range(h.n, n_max + 1):
-        level = generate_all_graphs(n)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(judge, level))
-        else:
-            results = [judge(g) for g in level]
-        for g, verdict in results:
+        for g in generate_all_graphs(n):
+            verdict = is_minimal_obstruction(g, h, cache=cache)
             if verdict is Verdict.TRUE:
                 members.append(g)
             elif verdict is Verdict.INCONCLUSIVE:
@@ -232,13 +222,11 @@ def check_bound(
     n_max: int,
     *,
     cache: PivotMinorCache | None = None,
-    workers: int = 1,
 ) -> BoundRecord:
     """Mine the family target up to n_max and compare with the bound."""
     h = family_target(family, t)
     bound = obstruction_order_bound(family, t)
-    obs = mine(h, n_max, target_name=f"{family}[t={t}]", cache=cache,
-               workers=workers)
+    obs = mine(h, n_max, target_name=f"{family}[t={t}]", cache=cache)
     observed = obs.max_member_order()
     return BoundRecord(
         family=family,

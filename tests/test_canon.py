@@ -64,6 +64,19 @@ def test_key_invariant_under_relabeling():
         assert canonical_key(relabel(g, perm)) == canonical_key(g)
 
 
+def test_relabellings_share_one_representative():
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(1, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.5])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        form = canonical_form(g)
+        assert canonical_form(relabel(g, perm)) is form
+        assert canonical_form(form) is form
+
+
 def test_canonical_form_is_idempotent():
     rng = random.Random(11)
     for _ in range(100):

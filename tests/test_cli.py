@@ -4,6 +4,7 @@ import json
 
 from pivotminors import (
     Graph,
+    canonical_form,
     canonical_key,
     complete_multipartite,
     named_graph,
@@ -39,7 +40,7 @@ def test_contains_inconclusive_exit(capsys):
     # tiny limit actually bites
     from pivotminors.containment import DEFAULT_CACHE
 
-    DEFAULT_CACHE.target_orbits.pop(canonical_key(named_graph("C5")), None)
+    DEFAULT_CACHE.target_orbits.pop(canonical_form(named_graph("C5")), None)
     code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C5",
                        "--limit", "1")
     assert code == EXIT_INCONCLUSIVE

@@ -17,6 +17,7 @@ from pivotminors import (
     OrbitLimitError,
     PivotMinorCache,
     Verdict,
+    canonical_form,
     canonical_key,
     contains_pivot_minor,
     delete_vertex,
@@ -117,10 +118,18 @@ def test_verdict_semantics():
 
 def test_pivot_orbit_basics():
     lone = Graph(3)
-    assert pivot_orbit(lone) == {lone}
+    assert set(pivot_orbit(lone)) == {lone}
     orbit = pivot_orbit(named_graph("C5"))
     assert named_graph("C5") in orbit
     assert len(orbit) > 1
+    # every member but the start is one pivot away from its BFS parent
+    assert next(iter(orbit)) == named_graph("C5")
+    for member, link in orbit.items():
+        if link is None:
+            assert member == named_graph("C5")
+        else:
+            parent, u, v = link
+            assert pivot(parent, u, v) == member
     with pytest.raises(OrbitLimitError) as err:
         pivot_orbit(named_graph("C5"), limit=1)
     assert err.value.limit == 1
@@ -142,8 +151,8 @@ def test_inconclusive_propagates_without_caching():
     verdict = contains_pivot_minor(g, named_graph("C5"), cache=cache,
                                    orbit_limit=1)
     assert verdict is Verdict.INCONCLUSIVE
-    key = canonical_key(g)
-    kh = canonical_key(named_graph("C5"))
+    key = canonical_form(g)
+    kh = canonical_form(named_graph("C5"))
     assert (key, kh) not in cache.verdicts
     assert bool(contains_pivot_minor(g, named_graph("C5"), cache=cache))
 

@@ -155,6 +155,13 @@ def test_delete_vertex_relabels():
     assert delete_vertex(g, 1) == Graph(3, [(1, 2)])
     with pytest.raises(ValueError):
         delete_vertex(g, 4)
+    # the row compaction agrees with the induced-subgraph reference
+    rng = random.Random(15)
+    for _ in range(300):
+        h = random_graph(rng, rng.randint(1, 64), rng.random())
+        v = rng.randrange(h.n)
+        rest = [u for u in range(h.n) if u != v]
+        assert delete_vertex(h, v) == induced_subgraph(h, rest)
 
 
 def test_induced_subgraph_respects_order():

@@ -57,12 +57,6 @@ def test_mine_rejects_empty_target(cache):
         mine(Graph(0), 3, cache=cache)
 
 
-def test_mine_workers_agree(cache):
-    solo = mine(named_graph("C3"), 5, cache=cache)
-    pooled = mine(named_graph("C3"), 5, cache=cache, workers=4)
-    assert keys(solo.members) == keys(pooled.members)
-
-
 def test_save_load_roundtrip(tmp_path, cache):
     obs = mine(named_graph("C3"), 5, cache=cache, target_name="C3")
     save_obstruction_set(obs, tmp_path / "c3")
