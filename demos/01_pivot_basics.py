@@ -9,6 +9,7 @@ complementations, u-v-u, and applying it twice gives the graph back.
 
 from pivotminors import (
     Graph,
+    canonical_form,
     cycle_graph,
     local_complement,
     named_graph,
@@ -38,10 +39,13 @@ print("u-v-u local complementations give the same graph:", triple == p)
 triple_vuv = local_complement(local_complement(local_complement(g, 1), 0), 1)
 print("v-u-v does too:", triple_vuv == p)
 
-# the orbit of a graph under pivots, collected up to isomorphism
+# the orbit of a graph under pivots: every labelled graph reachable by
+# edge pivots, and the isomorphism classes among them
 c5 = cycle_graph(5)
 orbit = pivot_orbit(c5)
-print("C5 pivot orbit size (up to isomorphism):", len(orbit))
+print("C5 pivot orbit size (labelled):", len(orbit))
+print("C5 pivot orbit isomorphism classes:",
+      len({canonical_form(member) for member in orbit}))
 for member in orbit:
     print("  ", to_graph6(member), sorted(member.edges()))
 

@@ -159,8 +159,13 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
     """Map pattern vertices injectively into host preserving both edges and
     non-edges; returns phi with phi[p] a host vertex, or None.
 
-    Plain backtracking with degree pruning; pattern order stays small here
-    (at most 7), hosts are small too, so n^k is acceptable.
+    Backtracking over the pattern vertices, most anchored first, with a
+    bitmask domain per vertex (Ullmann's refinement, as in VF2): the host
+    vertices of at least its degree, minus the used ones, ANDed with the
+    row of each placed vertex or with its complement, as the pattern
+    adjacency asks.  A branch ends as soon as its domain is empty.  The
+    domain's vertices are tried in ascending order, so the embedding
+    returned is the first one in that order.
     """
     k, n = pattern.n, host.n
     if k > n or pattern.num_edges > host.num_edges:
@@ -180,32 +185,44 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
                 bestv, bestkey = v, key
         order.append(bestv)
         seen |= 1 << bestv
-    hdeg = [host.degree(v) for v in range(n)]
-    assign = [-1] * k
+    hrows = host.rows
+    hdeg = [r.bit_count() for r in hrows]
+    # per level: the host vertices of high enough degree, and for each
+    # earlier level whether the pattern wants an edge to it
+    levels = []
+    for i, p in enumerate(order):
+        start = 0
+        for c in range(n):
+            if hdeg[c] >= pdeg[p]:
+                start |= 1 << c
+        links = [(j, pattern.rows[p] >> order[j] & 1) for j in range(i)]
+        levels.append((start, links))
+    image = [0] * k  # host vertex placed at each level
 
     def dfs(i: int, used: int) -> bool:
         if i == k:
             return True
-        p = order[i]
-        rp = pattern.rows[p]
-        for c in range(n):
-            if used >> c & 1 or hdeg[c] < pdeg[p]:
-                continue
-            rc = host.rows[c]
-            ok = True
-            for j in range(i):
-                q = order[j]
-                if (rp >> q & 1) != (rc >> assign[q] & 1):
-                    ok = False
-                    break
-            if ok:
-                assign[p] = c
-                if dfs(i + 1, used | 1 << c):
-                    return True
-                assign[p] = -1
+        start, links = levels[i]
+        dom = start & ~used
+        for j, adjacent in links:
+            row = hrows[image[j]]
+            dom &= row if adjacent else ~row
+            if not dom:
+                return False
+        while dom:
+            low = dom & -dom
+            image[i] = low.bit_length() - 1
+            if dfs(i + 1, used | low):
+                return True
+            dom ^= low
         return False
 
-    return assign[:] if dfs(0, 0) else None
+    if not dfs(0, 0):
+        return None
+    phi = [0] * k
+    for i, p in enumerate(order):
+        phi[p] = image[i]
+    return phi
 
 
 def has_induced(pattern: Graph, host: Graph) -> bool:

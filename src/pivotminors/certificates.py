@@ -8,7 +8,10 @@ A certificate pins down a containment claim so that a verifier can replay
 it with no search: an ordered vertex subset of the input (whose induced
 subgraph, taken in that order, is the named obstruction), a step list
 turning that induced subgraph into the target, and the final bijection
-onto the target, checked edge by edge.
+onto the target, checked edge by edge.  Format version 2 stores the
+obstruction labelled, as the graph6 of that induced subgraph in
+certificate order, and the target as the graph6 it was issued for, so the
+verifier compares labelled graphs and needs no canonical form.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import canonical_form, canonical_key, isomorphism
+from .canon import canonical_form, isomorphism
 from .containment import (
     DEFAULT_ORBIT_LIMIT,
     OrbitLimitError,
@@ -157,6 +160,9 @@ def find_pivot_minor_sequence(
     return steps, iso
 
 
+CERTIFICATE_VERSION = 2
+
+
 @dataclass
 class Certificate:
     """A replayable witness that a graph contains a target pivot-minor."""
@@ -166,15 +172,15 @@ class Certificate:
     steps: tuple[Step, ...]
     target_map: tuple[int, ...]
     obstruction_name: str | None
-    obstruction_key: str
-    target_key: str
+    obstruction_graph6: str
+    target_graph6: str
 
     def to_json(self) -> dict:
         from . import __version__
 
         return {
             "format": "pivot-minor-certificate",
-            "version": 1,
+            "version": CERTIFICATE_VERSION,
             "tool": {"name": "pivotminors", "version": __version__},
             "input": {
                 "graph6": self.input_graph6,
@@ -185,9 +191,9 @@ class Certificate:
             "target_map": list(self.target_map),
             "obstruction": {
                 "name": self.obstruction_name,
-                "canonical_graph6": self.obstruction_key,
+                "graph6": self.obstruction_graph6,
             },
-            "target": {"canonical_graph6": self.target_key},
+            "target": {"graph6": self.target_graph6},
         }
 
     def dumps(self) -> str:
@@ -197,14 +203,20 @@ class Certificate:
     def from_json(cls, data: dict) -> "Certificate":
         if data.get("format") != "pivot-minor-certificate":
             raise ValueError("not a pivot-minor certificate")
+        version = data.get("version")
+        if version != CERTIFICATE_VERSION:
+            raise ValueError(
+                f"certificate format version {version!r} is not supported; "
+                f"this reader takes version {CERTIFICATE_VERSION}"
+            )
         return cls(
             input_graph6=data["input"]["graph6"],
             vertices=tuple(int(v) for v in data["vertices"]),
             steps=tuple(steps_from_json(data["steps"])),
             target_map=tuple(int(v) for v in data["target_map"]),
             obstruction_name=data.get("obstruction", {}).get("name"),
-            obstruction_key=data.get("obstruction", {}).get("canonical_graph6", ""),
-            target_key=data.get("target", {}).get("canonical_graph6", ""),
+            obstruction_graph6=data.get("obstruction", {}).get("graph6", ""),
+            target_graph6=data.get("target", {}).get("graph6", ""),
         )
 
     @classmethod
@@ -220,15 +232,14 @@ def build_certificate(
     target: Graph,
     obstruction_name: str | None = None,
 ) -> Certificate:
-    sub = induced_subgraph(g, vertices)
     return Certificate(
         input_graph6=to_graph6(g),
         vertices=tuple(vertices),
         steps=tuple(steps),
         target_map=tuple(target_map),
         obstruction_name=obstruction_name,
-        obstruction_key=canonical_key(sub),
-        target_key=canonical_key(target),
+        obstruction_graph6=to_graph6(induced_subgraph(g, vertices)),
+        target_graph6=to_graph6(target),
     )
 
 
@@ -246,7 +257,9 @@ def verify_certificate(g: Graph, cert: Certificate, target: Graph) -> Verificati
     """Replay a certificate from scratch and check every claim in it.
 
     Deliberately reimplements the replay loop instead of sharing the
-    search's bookkeeping; only the primitive graph operations are reused.
+    search's bookkeeping; only the primitive graph operations and graph6
+    encoding are reused.  Obstruction and target are compared as labelled
+    graphs, so nothing here depends on canonical forms.
     """
     def fail(reason: str, step: int | None = None) -> VerificationResult:
         return VerificationResult(False, step, reason)
@@ -257,7 +270,7 @@ def verify_certificate(g: Graph, cert: Certificate, target: Graph) -> Verificati
     if len(set(vs)) != len(vs) or any(not 0 <= v < g.n for v in vs):
         return fail("vertex subset is not a set of input vertices")
     cur = induced_subgraph(g, vs)
-    if canonical_key(cur) != cert.obstruction_key:
+    if to_graph6(cur) != cert.obstruction_graph6:
         return fail("induced subgraph does not match the claimed obstruction")
     for i, step in enumerate(cert.steps):
         if isinstance(step, PivotEdge):
@@ -279,7 +292,7 @@ def verify_certificate(g: Graph, cert: Certificate, target: Graph) -> Verificati
     phi = cert.target_map
     if sorted(phi) != list(range(target.n)):
         return fail("target map is not a bijection")
-    if canonical_key(target) != cert.target_key:
+    if to_graph6(target) != cert.target_graph6:
         return fail("certificate was issued for a different target")
     for a in range(cur.n):
         for b in range(a + 1, cur.n):

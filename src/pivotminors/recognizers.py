@@ -104,6 +104,8 @@ def _shortest_odd_cycle(g: Graph) -> list[int]:
     best_len = g.n + 1
     best: list[int] | None = None
     for root in range(g.n):
+        if best_len == 3:
+            break  # a triangle is as short as odd cycles get
         dist = {root: 0}
         parent = {root: -1}
         layer = [root]

@@ -117,10 +117,16 @@ def test_isomorphism_returns_a_real_mapping():
     assert isomorphism(named_graph("C5"), named_graph("P5")) is None
 
 
+# the induced patterns the recognizers search for
+RECOGNIZER_PATTERNS = ("P5", "bull", "dart", "W4", "co-BW3",
+                       *(f"O{i}" for i in range(1, 10)))
+
+
 def test_find_induced_embedding_is_exact():
     # the embedding must preserve adjacency and non-adjacency
     rng = random.Random(13)
-    patterns = [named_graph(s) for s in ("P3", "P4", "C4", "claw", "paw")]
+    patterns = [named_graph(s) for s in ("P3", "P4", "C4", "claw", "paw",
+                                         *RECOGNIZER_PATTERNS)]
     for _ in range(200):
         n = rng.randint(4, 9)
         host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -134,17 +140,38 @@ def test_find_induced_embedding_is_exact():
 
 
 def test_has_induced_matches_brute_force():
-    def brute_has_induced(pat, host):
+    def brute_has_induced(pat, relabellings, host):
+        # every vertex subset against every relabelling of the pattern
         return any(
-            induced_subgraph(host, list(c)) == relabel(pat, list(p))
+            induced_subgraph(host, list(c)) in relabellings
             for c in itertools.combinations(range(host.n), pat.n)
-            for p in itertools.permutations(range(pat.n))
         )
 
     pats = [named_graph("P3"), named_graph("C3"), Graph(3)]
-    for host in all_labeled_graphs(5):
-        for pat in pats:
-            assert has_induced(pat, host) == brute_has_induced(pat, host)
+    pats += [named_graph(s) for s in RECOGNIZER_PATTERNS]
+    relabellings = [
+        {relabel(pat, list(p)) for p in itertools.permutations(range(pat.n))}
+        for pat in pats
+    ]
+    # every 5-vertex host, random hosts big enough for the 6- and 7-vertex
+    # patterns, and each pattern plus one vertex, shuffled, so that every
+    # pattern is also found
+    rng = random.Random(14)
+    hosts = list(all_labeled_graphs(5))
+    for _ in range(150):
+        n = rng.randint(6, 8)
+        p = rng.choice((0.5, 0.7))
+        hosts.append(Graph(n, [(u, v) for u in range(n)
+                               for v in range(u + 1, n) if rng.random() < p]))
+    for pat in pats:
+        extra = [(u, pat.n) for u in range(pat.n) if rng.random() < 0.5]
+        grown = Graph(pat.n + 1, list(pat.edges()) + extra)
+        perm = list(range(grown.n))
+        rng.shuffle(perm)
+        hosts.append(relabel(grown, perm))
+    for host in hosts:
+        for pat, rel in zip(pats, relabellings):
+            assert has_induced(pat, host) == brute_has_induced(pat, rel, host)
 
 
 def test_induced_embedding_of_larger_pattern_fails():

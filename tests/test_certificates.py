@@ -103,10 +103,16 @@ def test_certificate_json_roundtrip(cache):
     data = json.loads(cert.dumps())
     assert data["format"] == "pivot-minor-certificate"
     assert data["input"]["graph6"] == cert.input_graph6
+    assert data["version"] == 2
+    assert data["obstruction"]["graph6"] == cert.obstruction_graph6
     again = Certificate.loads(cert.dumps())
     assert again == cert
     with pytest.raises(ValueError):
         Certificate.from_json({"format": "something-else"})
+    # a version 1 blob stored canonical keys, which this reader cannot check
+    data["version"] = 1
+    with pytest.raises(ValueError, match="version 1"):
+        Certificate.from_json(data)
 
 
 def test_certificate_rejects_wrong_input(cache):
@@ -121,7 +127,7 @@ def test_certificate_rejects_tampered_vertices(cache):
     g, cert = make_cert(cache)
     bad = Certificate(cert.input_graph6, (0, 1, 2, 3, 5), cert.steps,
                       cert.target_map, cert.obstruction_name,
-                      cert.obstruction_key, cert.target_key)
+                      cert.obstruction_graph6, cert.target_graph6)
     outcome = verify_certificate(g, bad, named_graph("C3"))
     assert not outcome.ok
     assert "does not match the claimed obstruction" in outcome.reason
@@ -135,7 +141,7 @@ def test_certificate_rejects_tampered_step(cache):
     steps[idx] = PivotEdge(0, 2)
     bad = Certificate(cert.input_graph6, cert.vertices, tuple(steps),
                       cert.target_map, cert.obstruction_name,
-                      cert.obstruction_key, cert.target_key)
+                      cert.obstruction_graph6, cert.target_graph6)
     outcome = verify_certificate(g, bad, named_graph("C3"))
     assert not outcome.ok
     assert outcome.step == idx
@@ -146,7 +152,7 @@ def test_certificate_rejects_tampered_map(cache):
     bad_map = (0, 0, 1)
     bad = Certificate(cert.input_graph6, cert.vertices, cert.steps,
                       bad_map, cert.obstruction_name,
-                      cert.obstruction_key, cert.target_key)
+                      cert.obstruction_graph6, cert.target_graph6)
     outcome = verify_certificate(g, bad, named_graph("C3"))
     assert not outcome.ok
     assert "bijection" in outcome.reason
@@ -157,3 +163,19 @@ def test_certificate_rejects_wrong_target(cache):
     outcome = verify_certificate(g, cert, named_graph("P3"))
     assert not outcome.ok
     assert "different target" in outcome.reason
+
+
+def test_verifier_does_not_use_canonical_forms(cache, monkeypatch):
+    # the verifier must stay independent of the search code: with the
+    # canonical labelling broken, a good certificate still verifies
+    from pivotminors import canon
+
+    g, cert = make_cert(cache)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("verify_certificate called into canon")
+
+    monkeypatch.setattr(canon, "canonical_form", broken)
+    monkeypatch.setattr(canon, "_canonical_perm", broken)
+    outcome = verify_certificate(g, cert, named_graph("C3"))
+    assert outcome.ok, outcome.reason

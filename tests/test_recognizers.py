@@ -1,5 +1,8 @@
 """Certifying recognizers: every branch, every certificate replayed."""
 
+import random
+import time
+
 import pytest
 
 from pivotminors import (
@@ -196,3 +199,33 @@ def test_recognize_bounded_truncation(cache):
                             allow_truncated=True, cache=cache)
     assert res.verdict == "free-up-to-truncation"
     assert "bound" in res.detail
+
+
+def test_recognizers_hold_up_at_64_vertices():
+    """All eight recognizers, with certificate replay, on graphs up to the
+    64-vertex limit: odd holes well past the canonical-form cap, a wheel,
+    two disjoint cliques and one seeded G(64, 0.5).  Stated bound: under
+    30 s in total (about 3 s on a 2-core machine)."""
+    rng = random.Random(64)
+    gnp = Graph(64, [(u, v) for u in range(64) for v in range(u + 1, 64)
+                     if rng.random() < 0.5])
+    targets = {name: named_graph(name) for name in
+               ("C3", "P4", "C4", "paw", "diamond", "2P2", "3P1", "claw")}
+    every = tuple(targets)
+    cases = [
+        (cycle_graph(17), every),
+        (cycle_graph(63), every),
+        (wheel_graph(63), every),
+        (disjoint_union(complete_graph(32), complete_graph(32)),
+         ("C3", "2P2")),
+        (gnp, None),
+    ]
+    start = time.perf_counter()
+    for g, contained in cases:
+        for name, h in targets.items():
+            res = recognize(g, name)
+            if contained is not None:
+                assert res.contains == (name in contained), (name, g.n)
+            if res.contains:
+                assert_certified(res, g, h)
+    assert time.perf_counter() - start < 30.0
