@@ -3,8 +3,9 @@
 Excluding a fixed pivot-minor h carves out a downward-closed class,
 and the boundary of that class is a finite-or-infinite set of minimal
 obstructions: graphs that contain h while none of their one-vertex
-deletions do.  The miner walks every isomorphism class up to a cap and
-keeps the minimal ones.
+deletions do.  The miner grows the class of h-free graphs one vertex at
+a time up to a cap, and keeps the extensions that contain h while all of
+their deletions stay free.
 """
 
 from pivotminors import (
@@ -20,7 +21,8 @@ from pivotminors import (
     to_graph6,
 )
 
-_NAMES = list(graph_names()) + ["P4", "C3", "C4", "C5", "C6", "C7", "3P1"]
+_NAMES = list(graph_names()) + ["P4", "C3", "C4", "C5", "C6", "C7", "3P1",
+                                "P2+P1"]
 names_by_key = {canonical_key(named_graph(s)): s for s in _NAMES}
 
 
@@ -47,6 +49,12 @@ print("  ", record.coverage_statement())
 # stopping short of the proved bound is reported honestly
 record = check_bound("P2+tP1", 1, 5)
 print("excluding P2 + P1 with a shallow sweep:")
+print("  ", record.coverage_statement())
+
+# the free class of P2 + P1 stays tiny, so the sweep reaches the bound
+record = check_bound("P2+tP1", 1, 10)
+print("excluding P2 + P1 swept to its proved bound:",
+      ", ".join(describe(k) for k in record.obstructions.member_keys))
 print("  ", record.coverage_statement())
 
 # some exclusions have infinitely many obstructions; two constructions

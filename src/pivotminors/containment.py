@@ -193,9 +193,13 @@ def contains_pivot_minor(
 def pivot_equivalent(
     g: Graph, h: Graph, *, orbit_limit: int = DEFAULT_ORBIT_LIMIT
 ) -> bool:
-    """Is g reachable from h by pivots, up to relabelling?"""
+    """Is g reachable from h by pivots, up to relabelling?
+
+    Reads h's orbit through DEFAULT_CACHE; raises OrbitLimitError when
+    the orbit has more than orbit_limit members."""
     if g.n != h.n:
         return False
-    orbit = pivot_orbit(h, limit=orbit_limit)
-    fg = canonical_form(g)
-    return any(canonical_form(x) == fg for x in orbit)
+    orbit = DEFAULT_CACHE.target_orbit_keys(canonical_form(h), orbit_limit)
+    if orbit is None:
+        raise OrbitLimitError(orbit_limit)
+    return canonical_form(g) in orbit

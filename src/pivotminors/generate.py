@@ -8,6 +8,8 @@ last vertex lands in some (n-1)-vertex class.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .canon import canonical_form
 from .graphs import Graph
 from .io import to_graph6
@@ -30,18 +32,29 @@ def generate_all_graphs(n: int, *, max_vertices: int = GENERATE_MAX_VERTICES) ->
             f"generation capped at {max_vertices} vertices, got {n}"
         )
     for k in range(1, n + 1):
-        if k in _CLASSES:
-            continue
-        seen: set[Graph] = set()
-        newbit = 1 << (k - 1)
-        for parent in _CLASSES[k - 1]:
-            prows = parent.rows
-            for mask in range(newbit):
-                rows = tuple(
-                    prows[v] | newbit if mask >> v & 1 else prows[v]
-                    for v in range(k - 1)
-                ) + (mask,)
-                seen.add(canonical_form(Graph._make(k, rows)))
-        reps = sorted(seen, key=lambda g: (g.num_edges, to_graph6(g)))
-        _CLASSES[k] = tuple(reps)
+        if k not in _CLASSES:
+            _CLASSES[k] = tuple(sorted(extend_by_one_vertex(_CLASSES[k - 1]),
+                                       key=class_order))
     return _CLASSES[n]
+
+
+def class_order(g: Graph) -> tuple[int, str]:
+    """Sort key of generate_all_graphs: edge count, then graph6."""
+    return g.num_edges, to_graph6(g)
+
+
+def extend_by_one_vertex(parents: Iterable[Graph]) -> set[Graph]:
+    """The canonical forms of every graph obtained from one of the parents
+    by adding a new last vertex adjacent to any subset of the old ones."""
+    seen: set[Graph] = set()
+    for parent in parents:
+        k = parent.n + 1
+        newbit = 1 << (k - 1)
+        prows = parent.rows
+        for mask in range(newbit):
+            rows = tuple(
+                prows[v] | newbit if mask >> v & 1 else prows[v]
+                for v in range(k - 1)
+            ) + (mask,)
+            seen.add(canonical_form(Graph._make(k, rows)))
+    return seen

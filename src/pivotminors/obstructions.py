@@ -3,9 +3,11 @@
 For a fixed target h, the h-pivot-minor-free graphs form a hereditary
 class, so its boundary is the set of graphs that contain h as a
 pivot-minor while every one-vertex-deleted subgraph does not.  mine()
-sweeps every isomorphism class up to a given order and collects exactly
-those graphs.  check_bound() compares a sweep against the proved order
-bounds for the four structured target families.
+grows the free class one order at a time, by one-vertex extension, and
+collects exactly those graphs among the extensions; membership is settled
+by set lookups in the order below, not by containment searches.
+check_bound() compares a sweep against the proved order bounds for the
+four structured target families.
 """
 
 from __future__ import annotations
@@ -15,11 +17,16 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canon import canonical_key
+from .canon import CANON_MAX_VERTICES, canonical_form, canonical_key
 from .catalog import complete_multipartite, cycle_graph, path_graph, star_graph
-from .containment import PivotMinorCache, Verdict, contains_pivot_minor
-from .generate import generate_all_graphs
-from .graphs import Graph, delete_vertex, disjoint_union
+from .containment import (
+    DEFAULT_ORBIT_LIMIT,
+    PivotMinorCache,
+    Verdict,
+    contains_pivot_minor,
+)
+from .generate import class_order, extend_by_one_vertex
+from .graphs import Graph, contract_pivot, delete_vertex, disjoint_union
 from .io import from_graph6, to_graph6
 
 
@@ -68,24 +75,64 @@ def mine(
     """Every minimal obstruction for h-pivot-minor-freeness with at most
     n_max vertices.
 
-    Sweeps orders smallest first so the shared cache already holds all
-    child verdicts when an order is processed.  Graphs whose verdict hit a
-    resource limit are reported in `inconclusive`, never dropped.
+    Grows the h-free class one order at a time.  A free graph or a minimal
+    obstruction on n vertices has only free one-vertex deletions, so it is
+    a one-vertex extension of a free (n-1)-vertex graph, and a candidate
+    with a deletion outside the free class is dropped by a set lookup.  At
+    |h| vertices a candidate contains h when it lies in the pivot orbit of
+    h; above that, when one of its one-vertex reductions does (the
+    recursion of contains_pivot_minor), which the free class of the order
+    below settles by lookup.  Members and inconclusive graphs come out in
+    generate_all_graphs order, smallest order first.
+
+    The target's pivot orbit is the only resource limit on the way: when
+    it has more than DEFAULT_ORBIT_LIMIT members, no graph on |h| or more
+    vertices can be decided, and every one of them is reported in
+    `inconclusive`.  `cache` serves only that orbit; no containment query
+    is made.
     """
-    if cache is None:
-        cache = PivotMinorCache()
     if h.n == 0:
         raise ValueError("the empty target is a pivot-minor of everything")
+    if n_max > CANON_MAX_VERTICES:
+        raise ValueError(
+            f"mining is capped at CANON_MAX_VERTICES = {CANON_MAX_VERTICES} "
+            f"vertices, got n_max = {n_max}"
+        )
+    if cache is None:
+        cache = PivotMinorCache()
+    th = canonical_form(h)
+    orbit = None
+    if n_max >= th.n:
+        orbit = cache.target_orbit_keys(th, DEFAULT_ORBIT_LIMIT)
     members: list[Graph] = []
     unresolved: list[Graph] = []
+    # the classes not known to contain h: all of them when the orbit is blown
+    free: set[Graph] = {Graph(0)}
 
-    for n in range(h.n, n_max + 1):
-        for g in generate_all_graphs(n):
-            verdict = is_minimal_obstruction(g, h, cache=cache)
-            if verdict is Verdict.TRUE:
-                members.append(g)
-            elif verdict is Verdict.INCONCLUSIVE:
-                unresolved.append(g)
+    for n in range(1, n_max + 1):
+        below, free = free, set()
+        found: list[Graph] = []
+        for g in extend_by_one_vertex(below):
+            if n < th.n or orbit is None:
+                free.add(g)
+                continue
+            if any(canonical_form(delete_vertex(g, v)) not in below
+                   for v in range(n)):
+                continue  # contains h through a deletion, so not minimal
+            if n == th.n:
+                contains = g in orbit
+            else:  # an isolated vertex contracts to its deletion
+                contains = any(
+                    canonical_form(contract_pivot(g, v)) not in below
+                    for v in range(n) if g.rows[v]
+                )
+            if contains:
+                found.append(g)
+            else:
+                free.add(g)
+        members += sorted(found, key=class_order)
+        if orbit is None and n >= th.n:
+            unresolved += sorted(free, key=class_order)
     return ObstructionSet(
         target_name=target_name or to_graph6(h),
         target_key=canonical_key(h),

@@ -151,6 +151,16 @@ def test_check_bound_covered(capsys):
     assert data["observed_max_order"] == 2
 
 
+def test_check_bound_p2_plus_p1_to_its_bound(capsys):
+    code, out, _ = run(capsys, "check-bound", "--family", "P2+tP1", "--t", "1",
+                       "--nmax", "10", "--json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["covered"] is True and data["bound_respected"] is True
+    assert data["bound"] == 10
+    assert data["member_count"] == 3
+
+
 def test_check_bound_uncovered_is_flagged(capsys):
     code, out, _ = run(capsys, "check-bound", "--family", "tP1", "--t", "3",
                        "--nmax", "4")

@@ -30,6 +30,7 @@ from pivotminors import (
     pivot_equivalent,
     pivot_orbit,
 )
+from pivotminors import containment
 
 
 def definition_closure(g):
@@ -178,6 +179,16 @@ def test_pivot_equivalence():
     assert pivot_equivalent(c5, induced_subgraph(c5, [3, 1, 4, 0, 2]))
     assert not pivot_equivalent(named_graph("C3"), Graph(3))
     assert not pivot_equivalent(Graph(2), Graph(3))
+
+
+def test_pivot_equivalent_names_the_orbit_limit(monkeypatch):
+    # a fresh shared cache, so no orbit stored by an earlier test answers
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    c5 = named_graph("C5")
+    with pytest.raises(OrbitLimitError) as err:
+        pivot_equivalent(c5, pivot(c5, 0, 1), orbit_limit=1)
+    assert err.value.limit == 1
+    assert pivot_equivalent(c5, pivot(c5, 0, 1))
 
 
 def test_pivot_equivalent_classes_share_pivot_minors(cache):

@@ -4,8 +4,11 @@ import pytest
 
 from pivotminors import (
     Graph,
+    PivotMinorCache,
     Verdict,
+    canonical_form,
     canonical_key,
+    check_bound,
     clique_star,
     complete_multipartite,
     cycle_graph,
@@ -14,6 +17,7 @@ from pivotminors import (
     family_c3p1,
     family_k4,
     family_target,
+    generate_all_graphs,
     is_minimal_obstruction,
     leaf_attached_multipartite,
     load_obstruction_set,
@@ -24,6 +28,8 @@ from pivotminors import (
     save_obstruction_set,
     star_graph,
 )
+from pivotminors.canon import CANON_MAX_VERTICES
+from pivotminors.containment import DEFAULT_ORBIT_LIMIT
 
 
 def keys(graphs):
@@ -52,9 +58,60 @@ def test_mine_small_sweeps(cache):
                                       for s in ("O1", "O2", "O3", "O7", "O9")])
 
 
+def sweep_every_class(h, n_max, cache):
+    """Reference miner: test every isomorphism class on |h|..n_max
+    vertices with is_minimal_obstruction, in generate_all_graphs order."""
+    members, inconclusive = [], []
+    for n in range(h.n, n_max + 1):
+        for g in generate_all_graphs(n):
+            verdict = is_minimal_obstruction(g, h, cache=cache)
+            if verdict is Verdict.TRUE:
+                members.append(g)
+            elif verdict is Verdict.INCONCLUSIVE:
+                inconclusive.append(g)
+    return tuple(members), tuple(inconclusive)
+
+
+@pytest.mark.parametrize("k,n_max", [(1, 7), (2, 7), (3, 7), (4, 7), (5, 6)])
+def test_mine_matches_the_sweep_of_every_class(k, n_max, cache):
+    for h in generate_all_graphs(k):
+        obs = mine(h, n_max)
+        assert (obs.members, obs.inconclusive) == \
+            sweep_every_class(h, n_max, cache), canonical_key(h)
+
+
+@pytest.mark.parametrize("name,n_max,count", [("C3", 5, 49), ("P4", 6, 201)])
+def test_mine_reports_every_graph_behind_a_blown_orbit(name, n_max, count):
+    # a recorded orbit failure at the default limit makes every verdict
+    # from |h| up depend on the orbit, so none may be dropped or decided
+    h = named_graph(name)
+    cache = PivotMinorCache()
+    cache.target_orbits[canonical_form(h)] = DEFAULT_ORBIT_LIMIT
+    obs = mine(h, n_max, cache=cache)
+    assert obs.members == ()
+    assert len(obs.inconclusive) == count
+    assert obs.inconclusive == tuple(g for n in range(h.n, n_max + 1)
+                                     for g in generate_all_graphs(n))
+
+
 def test_mine_rejects_empty_target(cache):
     with pytest.raises(ValueError):
         mine(Graph(0), 3, cache=cache)
+
+
+def test_mine_names_the_canon_cap(cache):
+    with pytest.raises(ValueError, match="CANON_MAX_VERTICES"):
+        mine(Graph(3), CANON_MAX_VERTICES + 1, cache=cache)
+
+
+def test_p2_plus_p1_sweep_reaches_its_bound(cache):
+    record = check_bound("P2+tP1", 1, 10, cache=cache)
+    assert record.bound == 10
+    assert record.covered and record.bound_respected
+    assert record.inconclusive_count == 0
+    assert "complete" in record.coverage_statement()
+    # P2+P1, C4 and the diamond, in generate_all_graphs order
+    assert record.obstructions.member_keys == ("BG", "C]", "C^")
 
 
 def test_save_load_roundtrip(tmp_path, cache):
