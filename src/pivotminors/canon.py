@@ -10,14 +10,17 @@ key) only encodes it for output.  Intended for small graphs; the default
 cap is 16 vertices.
 
 Forms are cached in one table in which every representative maps to
-itself, so all relabellings of a class share one Graph object.  The table,
-and by default each containment memo, holds at most CACHE_CAP entries
-(PIVOTMINORS_CACHE_CAP in the environment).
+itself, so all relabellings of a class share one Graph object.  That
+table and every containment memo table hold at most CACHE_CAP entries
+each (PIVOTMINORS_CACHE_CAP in the environment), a bound enforced by
+cache_insert alone: a full table refuses the insert with a RuntimeWarning,
+and the result is recomputed when it is asked for again.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 from .graphs import Graph, _bits
 from .io import to_graph6
@@ -27,6 +30,20 @@ CANON_MAX_VERTICES = 16
 CACHE_CAP = int(os.environ.get("PIVOTMINORS_CACHE_CAP", str(1 << 21)))
 
 _FORMS: dict[Graph, Graph] = {}
+
+
+def cache_insert(table: dict, key, value) -> None:
+    """table[key] = value, unless that would grow table past CACHE_CAP
+    entries; then warn and store nothing."""
+    if len(table) >= CACHE_CAP and key not in table:
+        warnings.warn(
+            f"cache full at {CACHE_CAP} entries; results are recomputed "
+            "from here on (raise PIVOTMINORS_CACHE_CAP to cache more)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return
+    table[key] = value
 
 
 def _canonical_perm(g: Graph) -> tuple[int, ...]:
@@ -120,9 +137,9 @@ def canonical_form(g: Graph) -> Graph:
             m |= 1 << pos[w]
         rows[i] = m
     form = Graph._make(g.n, tuple(rows))
-    if len(_FORMS) + 1 < CACHE_CAP:  # room for the form and for g
-        form = _FORMS.setdefault(form, form)
-        _FORMS[g] = form
+    form = _FORMS.get(form, form)
+    cache_insert(_FORMS, form, form)
+    cache_insert(_FORMS, g, form)
     return form
 
 

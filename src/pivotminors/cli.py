@@ -252,7 +252,9 @@ def _recognize_bounded_from_args(args, g: Graph):
     if args.obstructions:
         obs = load_obstruction_set(args.obstructions)
     else:
-        n_max = args.nmax if args.nmax is not None else min(bound, 8)
+        # mining to the bound takes under a second up to n = 10
+        n_max = args.nmax if args.nmax is not None else (
+            bound if bound <= 10 else 8)
         obs = mine(family_target(family, t), n_max,
                    target_name=f"{family}[t={t}]")
     return recognize_bounded(
@@ -396,7 +398,8 @@ def build_parser() -> _Parser:
                          "(bounded family targets only)")
     sp.add_argument("--nmax", type=int,
                     help="mine obstructions up to this order when no "
-                         "--obstructions directory is given")
+                         "--obstructions directory is given (default: the "
+                         "proved bound if it is at most 10, else 8)")
     sp.add_argument("--allow-truncated", action="store_true",
                     help="accept obstruction sets that stop below the "
                          "proved bound; may yield free-up-to-truncation")

@@ -10,8 +10,10 @@ orbit of the target once and comparing canonical forms.  The search runs
 on canonical forms throughout, so it does not depend on how the input is
 labelled.
 
-Verdicts are three-valued: resource limits surface as INCONCLUSIVE, never
-as a silent false.
+The target's pivot orbit is the only resource limit.  Whether it fits
+under the orbit limit is decided once, before the search: INCONCLUSIVE
+means exactly that it does not.  Otherwise the search is exact and
+answers TRUE or FALSE; a limit never shows up as a silent false.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .canon import CACHE_CAP, canonical_form
+from .canon import cache_insert, canonical_form
 from .graphs import Graph, contract_pivot, delete_vertex, pivot
 from .io import to_graph6
 
@@ -80,23 +82,19 @@ class PivotMinorCache:
     Every key and value is a canonical form (see canon.canonical_form).
     verdicts maps (g form, h form) to a bool; children maps a form to the
     forms of all its one-vertex reductions (deletions and contract-pivots),
-    in ascending graph6 order; target_orbits maps a form to the set of
-    forms in its pivot orbit, or, when the enumeration blew the limit, to
-    the largest limit that failed so a later call with a higher limit
-    retries.  verdicts and children together hold at most max_entries
-    entries, by default canon.CACHE_CAP.
+    in ascending graph6 order; target_orbits maps a form to its labelled
+    pivot-orbit size and the set of forms in that orbit, or, when the
+    enumeration blew the limit, to the largest limit that failed so a
+    later call with a higher limit retries.  Each table is bounded by
+    canon.CACHE_CAP, and a refused insert warns (see canon.cache_insert).
     """
 
-    def __init__(self, max_entries: int | None = None):
-        self.max_entries = CACHE_CAP if max_entries is None else max_entries
+    def __init__(self):
         self.verdicts: dict[tuple[Graph, Graph], bool] = {}
         self.children: dict[Graph, tuple[Graph, ...]] = {}
-        self.target_orbits: dict[Graph, frozenset[Graph] | int] = {}
+        self.target_orbits: dict[Graph, tuple[int, frozenset[Graph]] | int] = {}
         self.hits = 0
         self.misses = 0
-
-    def _room(self) -> bool:
-        return len(self.verdicts) + len(self.children) < self.max_entries
 
     def child_keys(self, g: Graph) -> tuple[Graph, ...]:
         """The reductions of the canonical form g, in ascending graph6
@@ -107,27 +105,29 @@ class PivotMinorCache:
             forms = set()
             for v in range(g.n):
                 forms.add(canonical_form(delete_vertex(g, v)))
-                forms.add(canonical_form(contract_pivot(g, v)))
+                if g.rows[v]:  # an isolated vertex contracts to its deletion
+                    forms.add(canonical_form(contract_pivot(g, v)))
             kids = tuple(sorted(forms, key=to_graph6))
-            if self._room():
-                self.children[g] = kids
+            cache_insert(self.children, g, kids)
         return kids
 
     def target_orbit_keys(self, h: Graph, limit: int) -> frozenset[Graph] | None:
         """The forms in the pivot orbit of the canonical form h, or None
-        when the orbit has more than limit members."""
+        when the orbit has more than limit labelled members.  The answer
+        depends on limit alone, not on what earlier calls stored."""
         cached = self.target_orbits.get(h)
-        if isinstance(cached, frozenset):
-            return cached
-        if isinstance(cached, int) and limit <= cached:
+        if isinstance(cached, tuple):
+            size, forms = cached
+            return forms if size <= limit else None
+        if cached is not None and limit <= cached:
             return None
         try:
             orbit = pivot_orbit(h, limit=limit)
         except OrbitLimitError:
-            self.target_orbits[h] = limit
+            cache_insert(self.target_orbits, h, limit)
             return None
         forms = frozenset(map(canonical_form, orbit))
-        self.target_orbits[h] = forms
+        cache_insert(self.target_orbits, h, (len(orbit), forms))
         return forms
 
     def clear(self) -> None:
@@ -148,7 +148,10 @@ def contains_pivot_minor(
     cache: PivotMinorCache | None = None,
     orbit_limit: int = DEFAULT_ORBIT_LIMIT,
 ) -> Verdict:
-    """Does g contain h as a pivot-minor?"""
+    """Does g contain h as a pivot-minor?
+
+    INCONCLUSIVE exactly when h's pivot orbit has more than orbit_limit
+    labelled members; below that check the search is exact."""
     if cache is None:
         cache = DEFAULT_CACHE
     if h.n == 0:
@@ -156,38 +159,24 @@ def contains_pivot_minor(
     if g.n < h.n:
         return Verdict.FALSE
     th = canonical_form(h)
+    orbit = cache.target_orbit_keys(th, orbit_limit)
+    if orbit is None:
+        return Verdict.INCONCLUSIVE
+    verdicts = cache.verdicts
 
-    def rec(cur: Graph) -> Verdict:
+    def rec(cur: Graph) -> bool:
         if cur.n == th.n:
-            orbit = cache.target_orbit_keys(th, orbit_limit)
-            if orbit is None:
-                return Verdict.INCONCLUSIVE
-            return Verdict.TRUE if cur in orbit else Verdict.FALSE
-        memo = cache.verdicts.get((cur, th))
-        if memo is not None:
+            return cur in orbit
+        found = verdicts.get((cur, th))
+        if found is not None:
             cache.hits += 1
-            return Verdict.TRUE if memo else Verdict.FALSE
+            return found
         cache.misses += 1
-        inconclusive = False
-        verdict = Verdict.FALSE
-        for kid in cache.child_keys(cur):
-            memo = cache.verdicts.get((kid, th))
-            if memo is not None:
-                sub = Verdict.TRUE if memo else Verdict.FALSE
-            else:
-                sub = rec(kid)
-            if sub is Verdict.TRUE:
-                verdict = Verdict.TRUE
-                break
-            if sub is Verdict.INCONCLUSIVE:
-                inconclusive = True
-        if verdict is not Verdict.TRUE and inconclusive:
-            return Verdict.INCONCLUSIVE
-        if cache._room():
-            cache.verdicts[(cur, th)] = verdict is Verdict.TRUE
-        return verdict
+        found = any(rec(kid) for kid in cache.child_keys(cur))
+        cache_insert(verdicts, (cur, th), found)
+        return found
 
-    return rec(canonical_form(g))
+    return Verdict.TRUE if rec(canonical_form(g)) else Verdict.FALSE
 
 
 def pivot_equivalent(

@@ -22,14 +22,14 @@ KNOWN_CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 _CLASSES: dict[int, tuple[Graph, ...]] = {0: (Graph(0),)}
 
 
-def generate_all_graphs(n: int, *, max_vertices: int = GENERATE_MAX_VERTICES) -> tuple[Graph, ...]:
+def generate_all_graphs(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on n vertices as canonical representatives,
     sorted by edge count then canonical key.  Cached per n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_vertices:
+    if n > GENERATE_MAX_VERTICES:
         raise ValueError(
-            f"generation capped at {max_vertices} vertices, got {n}"
+            f"generation capped at {GENERATE_MAX_VERTICES} vertices, got {n}"
         )
     for k in range(1, n + 1):
         if k not in _CLASSES:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .canon import canonical_key
 from .catalog import star_graph
 from .containment import PivotMinorCache, Verdict, contains_pivot_minor
-from .graphs import Graph, _bits, is_connected
+from .graphs import Graph, _bits, connected_components, is_connected
 from .io import to_graph6
 
 HAMILTON_MAX_VERTICES = 12
@@ -73,43 +73,18 @@ def fundamental_graph(g: Graph, tree: list[tuple[int, int]] | None = None) -> Fu
         raise ValueError("tree uses edges not in the graph")
     if len(tree) != max(g.n - 1, 0) or len(tset) != len(tree):
         raise ValueError("tree has the wrong number of edges")
-    # adjacency structure of the tree, for path walking
-    parent: dict[int, tuple[int, tuple[int, int]] | None] = {0: None}
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {v: [] for v in range(g.n)}
-    for e in tree:
-        u, v = e
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    order = [0]
-    for u in order:
-        for w, e in adj[u]:
-            if w not in parent:
-                parent[w] = (u, e)
-                order.append(w)
-    if len(parent) != g.n:
+    if g.n == 0 or not is_connected(Graph(g.n, tree)):
         raise ValueError("tree does not span the graph")
-
-    depth = {0: 0}
-    for u in order[1:]:
-        depth[u] = depth[parent[u][0]] + 1
-
-    def tree_path(u: int, v: int) -> set[tuple[int, int]]:
-        path: set[tuple[int, int]] = set()
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            pu, e = parent[u]
-            path.add(e)
-            u = pu
-        return path
-
     cotree = [e for e in all_edges if e not in tset]
     labels = tuple(tree) + tuple(cotree)
-    index = {e: i for i, e in enumerate(labels)}
+    t = len(tree)
     edges = []
-    for f in cotree:
-        for e in tree_path(*f):
-            edges.append((index[e], index[f]))
+    for i in range(t):
+        # tree edge i lies on the tree path of f exactly when the tree
+        # without it separates f's ends
+        side = set(connected_components(Graph(g.n, tree[:i] + tree[i + 1:]))[0])
+        edges += [(i, t + j) for j, (u, v) in enumerate(cotree)
+                  if (u in side) != (v in side)]
     return FundamentalGraph(
         graph=Graph(len(labels), edges),
         edge_labels=labels,
@@ -119,13 +94,14 @@ def fundamental_graph(g: Graph, tree: list[tuple[int, int]] | None = None) -> Fu
     )
 
 
-def is_hamiltonian(g: Graph, *, max_vertices: int = HAMILTON_MAX_VERTICES) -> tuple[bool, list[int] | None]:
+def is_hamiltonian(g: Graph) -> tuple[bool, list[int] | None]:
     """Search for a Hamiltonian cycle by backtracking; returns the verdict
     and a witness vertex order when one exists."""
     n = g.n
-    if n > max_vertices:
+    if n > HAMILTON_MAX_VERTICES:
         raise ValueError(
-            f"hamiltonicity search capped at {max_vertices} vertices, got {n}"
+            f"hamiltonicity search capped at {HAMILTON_MAX_VERTICES} "
+            f"vertices, got {n}"
         )
     if n == 0:
         return False, None

@@ -55,14 +55,11 @@ def is_minimal_obstruction(
     top = contains_pivot_minor(g, h, cache=cache)
     if top is not Verdict.TRUE:
         return top
-    saw_inconclusive = False
-    for v in range(g.n):
-        sub = contains_pivot_minor(delete_vertex(g, v), h, cache=cache)
-        if sub is Verdict.TRUE:
-            return Verdict.FALSE
-        if sub is Verdict.INCONCLUSIVE:
-            saw_inconclusive = True
-    return Verdict.INCONCLUSIVE if saw_inconclusive else Verdict.TRUE
+    # h's orbit fitted the limit, so every verdict below is definite
+    if any(contains_pivot_minor(delete_vertex(g, v), h, cache=cache)
+           for v in range(g.n)):
+        return Verdict.FALSE
+    return Verdict.TRUE
 
 
 def mine(

@@ -65,7 +65,6 @@ class RecognitionResult:
 
 # canned pivot sequences between fixed named graphs, found once and reused
 _SEQ_CACHE: dict[tuple[str, str], tuple[list[Step], list[int]]] = {}
-_SEQ_SEARCH_CACHE = PivotMinorCache()
 
 
 def canned_sequence(obs_name: str, target_name: str) -> tuple[list[Step], list[int]]:
@@ -73,10 +72,8 @@ def canned_sequence(obs_name: str, target_name: str) -> tuple[list[Step], list[i
     named target."""
     key = (obs_name, target_name)
     if key not in _SEQ_CACHE:
-        found = find_pivot_minor_sequence(
-            named_graph(obs_name), named_graph(target_name),
-            cache=_SEQ_SEARCH_CACHE,
-        )
+        found = find_pivot_minor_sequence(named_graph(obs_name),
+                                          named_graph(target_name))
         if found is None:
             raise ValueError(f"{target_name} is not a pivot-minor of {obs_name}")
         _SEQ_CACHE[key] = found

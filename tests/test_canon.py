@@ -16,6 +16,7 @@ from pivotminors import (
     isomorphism,
     named_graph,
 )
+from pivotminors import canon
 from pivotminors.canon import CANON_MAX_VERTICES
 from pivotminors.generate import KNOWN_CLASS_COUNTS
 
@@ -85,6 +86,16 @@ def test_canonical_form_is_idempotent():
                       if rng.random() < 0.5])
         cf = canonical_form(g)
         assert canonical_form(cf) == cf
+
+
+def test_full_form_cache_warns_and_still_computes(monkeypatch):
+    g = named_graph("C5")
+    expect = canonical_form(g)
+    monkeypatch.setattr(canon, "_FORMS", {})
+    monkeypatch.setattr(canon, "CACHE_CAP", 0)
+    with pytest.warns(RuntimeWarning, match="PIVOTMINORS_CACHE_CAP"):
+        assert canonical_form(g) == expect
+    assert not canon._FORMS
 
 
 def test_canonical_form_order_cap():

@@ -4,7 +4,6 @@ import json
 
 from pivotminors import (
     Graph,
-    canonical_form,
     canonical_key,
     complete_multipartite,
     named_graph,
@@ -36,11 +35,6 @@ def test_contains_false_json(capsys):
 
 
 def test_contains_inconclusive_exit(capsys):
-    # the process-wide cache may already hold this orbit; drop it so the
-    # tiny limit actually bites
-    from pivotminors.containment import DEFAULT_CACHE
-
-    DEFAULT_CACHE.target_orbits.pop(canonical_form(named_graph("C5")), None)
     code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C5",
                        "--limit", "1")
     assert code == EXIT_INCONCLUSIVE
@@ -230,6 +224,16 @@ def test_recognize_bounded_family_targets(capsys):
                        "--nmax", "2", "--allow-truncated")
     assert code == EXIT_INCONCLUSIVE
     assert out.startswith("free-up-to-truncation")
+
+
+def test_recognize_bounded_mines_to_the_bound_by_default(capsys):
+    # the proved bound for P2+1P1 is 10, so no --nmax is needed
+    code, out, _ = run(capsys, "recognize", "--target", "P2+1P1", "--in", "C4")
+    assert code == EXIT_OK
+    assert out.startswith("contains")
+    code, out, _ = run(capsys, "recognize", "--target", "P2+1P1", "--in", "K3")
+    assert code == EXIT_OK
+    assert out.startswith("free")
 
 
 def test_recognize_unknown_target(capsys):

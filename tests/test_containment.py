@@ -30,7 +30,7 @@ from pivotminors import (
     pivot_equivalent,
     pivot_orbit,
 )
-from pivotminors import containment
+from pivotminors import canon, containment
 
 
 def definition_closure(g):
@@ -158,11 +158,25 @@ def test_inconclusive_propagates_without_caching():
     assert bool(contains_pivot_minor(g, named_graph("C5"), cache=cache))
 
 
-def test_cache_cap_zero_still_computes():
-    cache = PivotMinorCache(max_entries=0)
-    assert bool(contains_pivot_minor(named_graph("C5"), named_graph("C3"),
-                                     cache=cache))
-    assert not cache.verdicts
+def test_orbit_limit_holds_on_a_warm_cache(monkeypatch):
+    # an orbit stored by an earlier call must not answer a lower limit
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    c5 = named_graph("C5")
+    assert contains_pivot_minor(c5, c5) is Verdict.TRUE
+    assert contains_pivot_minor(c5, c5, orbit_limit=1) is Verdict.INCONCLUSIVE
+    assert pivot_equivalent(c5, pivot(c5, 0, 1))
+    with pytest.raises(OrbitLimitError):
+        pivot_equivalent(c5, pivot(c5, 0, 1), orbit_limit=1)
+
+
+def test_cache_cap_zero_still_computes(monkeypatch):
+    monkeypatch.setattr(canon, "CACHE_CAP", 0)
+    cache = PivotMinorCache()
+    with pytest.warns(RuntimeWarning, match="PIVOTMINORS_CACHE_CAP") as seen:
+        assert bool(contains_pivot_minor(named_graph("C5"),
+                                         named_graph("C3"), cache=cache))
+    assert any(w.filename.endswith("containment.py") for w in seen)
+    assert not cache.verdicts and not cache.children and not cache.target_orbits
 
 
 def test_cache_clear():

@@ -97,6 +97,8 @@ def test_fundamental_graph_rejects_bad_trees():
     with pytest.raises(ValueError):
         # right size, real edges, but a triangle cannot span K4
         fundamental_graph(complete_graph(4), tree=[(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError):
+        fundamental_graph(Graph(0))  # no vertex for a tree to span
 
 
 def test_fundamental_graph_accepts_explicit_tree():
