@@ -160,7 +160,8 @@ def _cmd_mine(args) -> int:
         if (out / "manifest.json").exists():
             stored = load_obstruction_set(out)
             delta = diff_obstruction_sets(stored, obs)
-            if delta["only_in_first"] or delta["only_in_second"] or not delta["target_match"]:
+            if (delta["only_in_first"] or delta["only_in_second"]
+                    or not delta["target_match"] or not delta["same_depth"]):
                 print("stored results differ from this run:", file=sys.stderr)
                 print(json.dumps(delta, indent=2), file=sys.stderr)
                 return EXIT_USAGE

@@ -1,17 +1,17 @@
 """Exhaustive generation of small graphs, one per isomorphism class.
 
-Classes on n vertices are produced by extending every (n-1)-vertex class
-representative with a new vertex in all 2^(n-1) ways and deduplicating by
-canonical form.  Every n-vertex graph arises this way because deleting its
-last vertex lands in some (n-1)-vertex class.
+Classes on n vertices are produced by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998): each n-vertex
+class is accepted only from its canonical parent, the class left by deleting
+its canonical deletion vertex, so no set of all classes seen is needed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .canon import canonical_form
-from .graphs import Graph
+from .graphs import Graph, delete_vertex
 from .io import to_graph6
 
 GENERATE_MAX_VERTICES = 9
@@ -43,18 +43,36 @@ def class_order(g: Graph) -> tuple[int, str]:
     return g.num_edges, to_graph6(g)
 
 
-def extend_by_one_vertex(parents: Iterable[Graph]) -> set[Graph]:
-    """The canonical forms of every graph obtained from one of the parents
-    by adding a new last vertex adjacent to any subset of the old ones."""
-    seen: set[Graph] = set()
+def extend_by_one_vertex(parents: Iterable[Graph]) -> Iterator[Graph]:
+    """The canonical forms of the graphs whose canonical parent is one of
+    `parents` (canonical forms of distinct classes), each once.
+
+    A child adds a new last vertex adjacent to any subset of a parent's
+    vertices.  Its canonical parent is its canonical form F minus the
+    highest-positioned vertex of maximum degree.  A child is kept when its
+    new vertex has maximum degree and either is the only such vertex or
+    that deletion of F gives the parent back.
+    """
     for parent in parents:
         k = parent.n + 1
         newbit = 1 << (k - 1)
         prows = parent.rows
+        top = max((r.bit_count() for r in prows), default=0)
+        at_top = sum(1 << v for v in range(k - 1) if prows[v].bit_count() == top)
+        seen: set[Graph] = set()
         for mask in range(newbit):
-            rows = tuple(
+            d = mask.bit_count()
+            if d < top or d == top and mask & at_top:
+                continue  # an old vertex outranks the new one in degree
+            child = canonical_form(Graph._make(k, tuple(
                 prows[v] | newbit if mask >> v & 1 else prows[v]
                 for v in range(k - 1)
-            ) + (mask,)
-            seen.add(canonical_form(Graph._make(k, rows)))
-    return seen
+            ) + (mask,)))
+            if child in seen:
+                continue
+            seen.add(child)
+            if d == top or d == top + 1 and mask & at_top:  # a tie at degree d
+                i = max(v for v in range(k) if child.rows[v].bit_count() == d)
+                if canonical_form(delete_vertex(child, i)) != parent:
+                    continue
+            yield child

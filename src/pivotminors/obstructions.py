@@ -72,15 +72,16 @@ def mine(
     """Every minimal obstruction for h-pivot-minor-freeness with at most
     n_max vertices.
 
-    Grows the h-free class one order at a time.  A free graph or a minimal
-    obstruction on n vertices has only free one-vertex deletions, so it is
-    a one-vertex extension of a free (n-1)-vertex graph, and a candidate
-    with a deletion outside the free class is dropped by a set lookup.  At
-    |h| vertices a candidate contains h when it lies in the pivot orbit of
-    h; above that, when one of its one-vertex reductions does (the
-    recursion of contains_pivot_minor), which the free class of the order
-    below settles by lookup.  Members and inconclusive graphs come out in
-    generate_all_graphs order, smallest order first.
+    Grows the h-free class one order at a time.  The free class is
+    hereditary, so every free graph and every minimal obstruction on n
+    vertices has only free one-vertex deletions, its canonical parent among
+    them, and extend_by_one_vertex of the free (n-1)-vertex classes yields
+    it.  A candidate with a deletion outside the free class is dropped by a
+    set lookup.  At |h| vertices a candidate contains h when it lies in the
+    pivot orbit of h; above that, when one of its one-vertex reductions
+    does (the recursion of contains_pivot_minor), which the free class of
+    the order below settles by lookup.  Members and inconclusive graphs
+    come out in generate_all_graphs order, smallest order first.
 
     The target's pivot orbit is the only resource limit on the way: when
     it has more than DEFAULT_ORBIT_LIMIT members, no graph on |h| or more

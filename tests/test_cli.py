@@ -135,6 +135,16 @@ def test_mine_and_stored_comparison(tmp_path, capsys):
     assert "checksum" in err
 
 
+def test_mine_at_another_depth_differs_from_stored(tmp_path, capsys):
+    # C3's members to n = 6 are those to n = 5, but the sets are not the same
+    out_dir = tmp_path / "c3"
+    run(capsys, "mine", "--h", "C3", "--nmax", "5", "--out", str(out_dir))
+    code, _, err = run(capsys, "mine", "--h", "C3", "--nmax", "6",
+                       "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert "differ" in err and '"same_depth": false' in err
+
+
 def test_check_bound_covered(capsys):
     code, out, _ = run(capsys, "check-bound", "--family", "tP1", "--t", "2",
                        "--nmax", "3", "--json")

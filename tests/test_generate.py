@@ -1,11 +1,22 @@
 """Exhaustive one-per-isomorphism-class generation."""
 
+import itertools
 import os
 
 import pytest
 
-from pivotminors import Graph, canonical_form, canonical_key, generate_all_graphs
-from pivotminors.generate import GENERATE_MAX_VERTICES, KNOWN_CLASS_COUNTS
+from pivotminors import (
+    Graph,
+    canonical_form,
+    canonical_key,
+    generate_all_graphs,
+    is_bipartite,
+)
+from pivotminors.generate import (
+    GENERATE_MAX_VERTICES,
+    KNOWN_CLASS_COUNTS,
+    extend_by_one_vertex,
+)
 
 SLOW = os.environ.get("PIVOTMINORS_SLOW") == "1"
 
@@ -16,7 +27,6 @@ def test_class_counts(n):
 
 
 def test_class_count_n8():
-    # 12,346 classes; a few seconds cold, instant once memoized
     assert len(generate_all_graphs(8)) == KNOWN_CLASS_COUNTS[8]
 
 
@@ -42,13 +52,46 @@ def test_representatives_sorted_by_size_then_key():
 
 def test_every_small_graph_is_covered():
     # each 4-vertex labeled graph must hit exactly one representative
-    import itertools
-
     reps = {canonical_key(g) for g in generate_all_graphs(4)}
     pairs = list(itertools.combinations(range(4), 2))
     for bits in range(1 << 6):
         g = Graph(4, [p for i, p in enumerate(pairs) if bits >> i & 1])
         assert canonical_key(g) in reps
+
+
+def _all_masks_extension(parents):
+    """Reference: canonicalise every one-vertex extension of every parent."""
+    seen = set()
+    for parent in parents:
+        k = parent.n + 1
+        for mask in range(1 << parent.n):
+            edges = [*parent.edges(), *((v, k - 1) for v in range(parent.n)
+                                        if mask >> v & 1)]
+            seen.add(canonical_form(Graph(k, edges)))
+    return seen
+
+
+def test_extension_matches_all_masks_to_n7():
+    for n in range(1, 8):
+        got = list(extend_by_one_vertex(generate_all_graphs(n - 1)))
+        assert len(got) == len(set(got)) == KNOWN_CLASS_COUNTS[n]
+        assert set(got) == _all_masks_extension(generate_all_graphs(n - 1))
+
+
+def test_extending_a_hereditary_class_finds_all_of_it():
+    # mine extends only the free classes one order down; that finds every
+    # free class because a hereditary class holds the canonical parent of
+    # each of its members.  Bipartite graphs form such a class.
+    below = {Graph(0)}
+    for n in range(1, 7):
+        below = {g for g in extend_by_one_vertex(below) if is_bipartite(g)}
+        pairs = list(itertools.combinations(range(n), 2))
+        brute = set()
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            if is_bipartite(g):
+                brute.add(canonical_form(g))
+        assert below == brute
 
 
 def test_order_cap():
