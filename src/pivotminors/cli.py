@@ -317,6 +317,9 @@ def _cmd_reduce(args) -> int:
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
     _emit_json(payload)
+    if any(r["sides_agree"] is False and r["n"] >= 5 for r in reports):
+        print("error: the two sides disagree at n >= 5", file=sys.stderr)
+        return EXIT_USAGE
     bad = [r for r in reports if r["sides_agree"] is None]
     return EXIT_INCONCLUSIVE if bad else EXIT_OK
 

@@ -6,9 +6,11 @@ with |g| > |h| exactly when, for some vertex v, h is a pivot-minor of
 g - v or of g / v (pivot v with a neighbour, then delete v; any neighbour
 gives a pivot-equivalent result).  At |g| == |h| the question degenerates
 to pivot equivalence up to isomorphism, settled by enumerating the pivot
-orbit of the target once and comparing canonical forms.  The search runs
-on canonical forms throughout, so it does not depend on how the input is
-labelled.
+orbit of the target once and comparing canonical forms.  So a node on
+|h| + 1 vertices canonicalises only the reductions with the degree
+sequence of an orbit form (no other can be in the orbit) and stops at the
+first in the orbit.  The search runs on canonical forms throughout, so it
+does not depend on how the input is labelled.
 
 The target's pivot orbit is the only resource limit.  Whether it fits
 under the orbit limit is decided once, before the search: INCONCLUSIVE
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Iterator
 
 from .canon import cache_insert, canonical_form
 from .graphs import Graph, contract_pivot, delete_vertex, pivot
@@ -76,14 +79,24 @@ def pivot_orbit(
     return links
 
 
+def _reductions(g: Graph) -> Iterator[Graph]:
+    """The labelled one-vertex reductions of g: every deletion, and the
+    contract-pivot of every vertex that is not isolated."""
+    for v in range(g.n):
+        yield delete_vertex(g, v)
+        if g.rows[v]:  # an isolated vertex contracts to its deletion
+            yield contract_pivot(g, v)
+
+
 class PivotMinorCache:
     """Shared memo for containment queries.
 
     Every key and value is a canonical form (see canon.canonical_form).
     verdicts maps (g form, h form) to a bool; children maps a form to the
     forms of all its one-vertex reductions (deletions and contract-pivots),
-    in ascending graph6 order; target_orbits maps a form to its labelled
-    pivot-orbit size and the set of forms in that orbit, or, when the
+    in ascending graph6 order, but gets no entry from a node on |h| + 1
+    vertices; target_orbits maps a form to its labelled pivot-orbit size,
+    the forms in that orbit and their degree sequences, or, when the
     enumeration blew the limit, to the largest limit that failed so a
     later call with a higher limit retries.  Each table is bounded by
     canon.CACHE_CAP, and a refused insert warns (see canon.cache_insert).
@@ -92,7 +105,7 @@ class PivotMinorCache:
     def __init__(self):
         self.verdicts: dict[tuple[Graph, Graph], bool] = {}
         self.children: dict[Graph, tuple[Graph, ...]] = {}
-        self.target_orbits: dict[Graph, tuple[int, frozenset[Graph]] | int] = {}
+        self.target_orbits: dict[Graph, tuple[int, frozenset, frozenset] | int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -102,11 +115,7 @@ class PivotMinorCache:
         sets how much of it is explored."""
         kids = self.children.get(g)
         if kids is None:
-            forms = set()
-            for v in range(g.n):
-                forms.add(canonical_form(delete_vertex(g, v)))
-                if g.rows[v]:  # an isolated vertex contracts to its deletion
-                    forms.add(canonical_form(contract_pivot(g, v)))
+            forms = {canonical_form(r) for r in _reductions(g)}
             kids = tuple(sorted(forms, key=to_graph6))
             cache_insert(self.children, g, kids)
         return kids
@@ -115,10 +124,15 @@ class PivotMinorCache:
         """The forms in the pivot orbit of the canonical form h, or None
         when the orbit has more than limit labelled members.  The answer
         depends on limit alone, not on what earlier calls stored."""
+        orbit = self._target_orbit(h, limit)
+        return None if orbit is None else orbit[0]
+
+    def _target_orbit(self, h: Graph, limit: int) -> tuple[frozenset, frozenset] | None:
+        """target_orbit_keys, with the degree sequences of the forms."""
         cached = self.target_orbits.get(h)
         if isinstance(cached, tuple):
-            size, forms = cached
-            return forms if size <= limit else None
+            size, forms, degrees = cached
+            return (forms, degrees) if size <= limit else None
         if cached is not None and limit <= cached:
             return None
         try:
@@ -127,8 +141,9 @@ class PivotMinorCache:
             cache_insert(self.target_orbits, h, limit)
             return None
         forms = frozenset(map(canonical_form, orbit))
-        cache_insert(self.target_orbits, h, (len(orbit), forms))
-        return forms
+        degrees = frozenset(f.degree_sequence() for f in forms)
+        cache_insert(self.target_orbits, h, (len(orbit), forms, degrees))
+        return forms, degrees
 
     def clear(self) -> None:
         self.verdicts.clear()
@@ -159,9 +174,10 @@ def contains_pivot_minor(
     if g.n < h.n:
         return Verdict.FALSE
     th = canonical_form(h)
-    orbit = cache.target_orbit_keys(th, orbit_limit)
-    if orbit is None:
+    target = cache._target_orbit(th, orbit_limit)
+    if target is None:
         return Verdict.INCONCLUSIVE
+    orbit, degrees = target
     verdicts = cache.verdicts
 
     def rec(cur: Graph) -> bool:
@@ -172,7 +188,12 @@ def contains_pivot_minor(
             cache.hits += 1
             return found
         cache.misses += 1
-        found = any(rec(kid) for kid in cache.child_keys(cur))
+        if cur.n == th.n + 1:
+            found = any(r.degree_sequence() in degrees
+                        and canonical_form(r) in orbit
+                        for r in _reductions(cur))
+        else:
+            found = any(rec(kid) for kid in cache.child_keys(cur))
         cache_insert(verdicts, (cur, th), found)
         return found
 

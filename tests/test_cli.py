@@ -10,6 +10,7 @@ from pivotminors import (
     pivot,
     to_graph6,
 )
+from pivotminors import cli
 from pivotminors.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from pivotminors.generate import KNOWN_CLASS_COUNTS
 
@@ -264,6 +265,21 @@ def test_reduce_multi_line_file(tmp_path, capsys):
     assert len(data["reports"]) == 2
     assert all(r["sides_agree"] for r in data["reports"])
     assert json.loads(report_path.read_text()) == {"reports": data["reports"]}
+
+
+def test_reduce_disagreement_fails(monkeypatch, capsys):
+    # at n >= 5 a disagreement contradicts the proved equivalence; below
+    # it the report's note stands and the exit code stays 0
+    def disagreeing(n):
+        return lambda g: {"n": n, "sides_agree": False, "notes": []}
+
+    monkeypatch.setattr(cli, "reduction_roundtrip", disagreeing(6))
+    code, _, err = run(capsys, "reduce", "--in", "K3,3")
+    assert code == EXIT_USAGE
+    assert "disagree" in err
+    monkeypatch.setattr(cli, "reduction_roundtrip", disagreeing(4))
+    code, _, _ = run(capsys, "reduce", "--in", "K4")
+    assert code == EXIT_OK
 
 
 def test_missing_subcommand_is_usage_error(capsys):

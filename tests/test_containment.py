@@ -20,15 +20,20 @@ from pivotminors import (
     canonical_form,
     canonical_key,
     contains_pivot_minor,
+    contract_pivot,
     delete_vertex,
     disjoint_union,
+    fundamental_graph,
     generate_all_graphs,
     induced_subgraph,
+    is_connected,
     is_isomorphic,
     named_graph,
     pivot,
     pivot_equivalent,
     pivot_orbit,
+    reduction_roundtrip,
+    star_graph,
 )
 from pivotminors import canon, containment
 
@@ -88,6 +93,66 @@ def test_oracle_matches_definition_random_n6(cache):
             expect = any(x.n == h.n and is_isomorphic(x, h) for x in closure)
             got = contains_pivot_minor(g, h, cache=cache)
             assert bool(got) == expect
+
+
+def reference_contains(g, h, memo):
+    """The recursion with no last-level screen: every reduction is
+    canonicalised at every level, and a graph on |h| vertices is compared
+    with the forms of h's pivot orbit.  memo maps (form, target form) to
+    a verdict and may be shared between calls."""
+    th = canonical_form(h)
+    orbit = frozenset(map(canonical_form, pivot_orbit(th)))
+
+    def rec(cur):
+        if cur.n == th.n:
+            return cur in orbit
+        if (cur, th) not in memo:
+            kids = {canonical_form(delete_vertex(cur, v)) for v in range(cur.n)}
+            kids |= {canonical_form(contract_pivot(cur, v))
+                     for v in range(cur.n) if cur.rows[v]}
+            memo[cur, th] = any(rec(kid) for kid in kids)
+        return memo[cur, th]
+
+    return g.n >= th.n and rec(canonical_form(g))
+
+
+def test_last_level_screen_is_exact(cache):
+    memo = {}
+    targets = list(generate_all_graphs(3)) + list(generate_all_graphs(4))
+    for g in generate_all_graphs(6) + generate_all_graphs(7):
+        for h in targets:
+            got = contains_pivot_minor(g, h, cache=cache)
+            assert bool(got) == reference_contains(g, h, memo), \
+                (canonical_key(g), canonical_key(h))
+    cubic = [g for n in (4, 6, 8) for g in generate_all_graphs(n)
+             if g.degree_sequence() == (3,) * n and is_connected(g)]
+    assert len(cubic) == 8  # K4; K3,3 and the prism; five on 8 vertices
+    for g in cubic:
+        fg = fundamental_graph(g).graph
+        star = star_graph(g.n - 1)
+        assert bool(contains_pivot_minor(fg, star, cache=cache)) == \
+            reference_contains(fg, star, memo), canonical_key(g)
+
+
+def test_last_level_canonicalises_only_screened_reductions(monkeypatch):
+    # the prism's query is K1,5 in a 9-vertex fundamental graph; every
+    # 6-vertex graph canonicalised must match an orbit form's degrees
+    star = star_graph(5)
+    degrees = {x.degree_sequence() for x in pivot_orbit(star)}
+    seen = []
+
+    def spy(g):
+        if g.n == star.n:
+            seen.append(g.degree_sequence())
+        return canonical_form(g)
+
+    monkeypatch.setattr(containment, "canonical_form", spy)
+    cache = PivotMinorCache()
+    report = reduction_roundtrip(named_graph("prism"), cache=cache)
+    assert report["contains_verdict"] == "true"
+    assert seen and set(seen) <= degrees
+    assert cache.children
+    assert all(g.n != star.n + 1 for g in cache.children)
 
 
 def test_containment_is_monotone_under_extension(cache):

@@ -1,11 +1,14 @@
 """Fundamental graphs checked against base exchange, plus Hamiltonicity."""
 
+import itertools
 import random
+import time
 
 import pytest
 
 from pivotminors import (
     Graph,
+    PivotMinorCache,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -125,15 +128,17 @@ def test_is_hamiltonian_negatives():
     assert is_hamiltonian(Graph(0)) == (False, None)
 
 
-def test_petersen_graph_is_not_hamiltonian():
+def petersen_graph():
     # Kneser graph on the 2-subsets of a 5-set
-    import itertools
-
     pairs = list(itertools.combinations(range(5), 2))
     idx = {p: i for i, p in enumerate(pairs)}
     edges = [(idx[a], idx[b]) for a in pairs for b in pairs
              if a < b and not set(a) & set(b)]
-    petersen = Graph(10, edges)
+    return Graph(10, edges)
+
+
+def test_petersen_graph_is_not_hamiltonian():
+    petersen = petersen_graph()
     assert petersen.degree_sequence() == (3,) * 10
     ok, cycle = is_hamiltonian(petersen)
     assert not ok and cycle is None
@@ -170,4 +175,17 @@ def test_reduction_roundtrip_prism(cache):
     assert report["contains_verdict"] == "true"
     assert report["sides_agree"] is True
     assert len(report["tree_edges"]) == 5
+    assert report["notes"] == []
+
+
+def test_reduction_roundtrip_petersen_is_false():
+    # the reduction's FALSE side at n >= 5: a fresh cache, so the whole
+    # 15-vertex query against K1,9 runs here
+    start = time.perf_counter()
+    report = reduction_roundtrip(petersen_graph(), cache=PivotMinorCache())
+    assert time.perf_counter() - start < 30
+    assert report["target"] == "K1,9"
+    assert report["contains_verdict"] == "false"
+    assert report["hamiltonian"] is False
+    assert report["sides_agree"] is True
     assert report["notes"] == []
