@@ -2,15 +2,23 @@
 
 The canonical form of a graph is a distinguished relabelling: the one with
 the lexicographically smallest upper-triangle bit string over all vertex
-orders that respect the (degree, sorted neighbour degrees) partition.
-Restricting to such orders is an isomorphism-invariant pruning, so two
-graphs get equal forms exactly when they are isomorphic.  The form is the
-library's class identity: memo tables key on it, and graph6 (the canonical
-key) only encodes it for output.  Intended for small graphs; the default
-cap is 16 vertices.
+orders that respect the (degree, sorted neighbour degrees) partition
+(cell_keys).  Restricting to such orders is an isomorphism-invariant
+pruning, so two graphs get equal forms exactly when they are isomorphic.
+The form is the library's class identity: memo tables key on it, and
+graph6 (the canonical key) only encodes it for output.  Intended for small
+graphs; the default cap is 16 vertices.
+
+One search finds the form and, on the way, generators of the graph's
+automorphism group: a transposition for each pair of interchangeable twins
+it skips, and a permutation for each other vertex order that reaches the
+minimal encoding.  canonical_labelling returns the form, the order and the
+generators; canonical_form and isomorphism use the same search.
 
 Forms are cached in one table in which every representative maps to
-itself, so all relabellings of a class share one Graph object.  That
+itself, so all relabellings of a class share one Graph object.
+canonical_form also memoises its input there; canonical_labelling interns
+only the form, for inputs that are not asked for again.  That
 table and every containment memo table hold at most CACHE_CAP entries
 each (PIVOTMINORS_CACHE_CAP in the environment), a bound enforced by
 cache_insert alone: a full table refuses the insert with a RuntimeWarning,
@@ -46,22 +54,50 @@ def cache_insert(table: dict, key, value) -> None:
     table[key] = value
 
 
-def _canonical_perm(g: Graph) -> tuple[int, ...]:
-    """Vertex order realizing the minimal encoding; perm[i] is the original
-    vertex placed at position i."""
+def cell_keys(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Per vertex of the graph with these adjacency rows, the key of its
+    cell in the labelling's partition.
+
+    The key stands for (degree, sorted neighbour degrees): it is the degree
+    followed by minus the number of neighbours in each degree class, lowest
+    degree first.  That sorts and ties exactly as the pair does, and the
+    counts come from one AND per degree class instead of a sort per vertex.
+    """
+    degs = [r.bit_count() for r in rows]
+    classes: dict[int, int] = {}
+    for v, d in enumerate(degs):
+        classes[d] = classes.get(d, 0) | 1 << v
+    masks = [classes[d] for d in sorted(classes)]
+    return [(d, *[-(r & m).bit_count() for m in masks])
+            for d, r in zip(degs, rows)]
+
+
+def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
+    """The labelling search: (best, twins, leaves).
+
+    best is the last vertex order visited that realizes the minimal
+    encoding, best[i] the original vertex placed at position i.  The
+    search also meets Aut(g): twins holds a pair (v, v0) for each skipped
+    twin, whose transposition is an automorphism, and leaves holds every
+    earlier order that reaches the minimal encoding, each one giving the
+    automorphism leaf o best^-1.  Together they generate Aut(g), since
+    each optimal order is an automorphism of best and the search visits
+    all of them but those it skips as twins.  They are stored as found;
+    canonical_labelling makes permutations.  keys, when given, is
+    cell_keys(g.rows).
+    """
     n = g.n
     rows = g.rows
+    twins: list[tuple[int, int]] = []
+    leaves: list[list[int]] = []
     if n <= 1:
-        return tuple(range(n))
-    degs = [r.bit_count() for r in rows]
-    sig = {
-        v: (degs[v], tuple(sorted(degs[u] for u in _bits(rows[v]))))
-        for v in range(n)
-    }
+        return list(range(n)), twins, leaves
+    if keys is None:
+        keys = cell_keys(rows)
     cells: dict[tuple, list[int]] = {}
     for v in range(n):
-        cells.setdefault(sig[v], []).append(v)
-    # positions are handed out cell by cell in signature order
+        cells.setdefault(keys[v], []).append(v)
+    # positions are handed out cell by cell in key order
     cell_of_level = []
     for key in sorted(cells):
         cell_of_level.extend([cells[key]] * len(cells[key]))
@@ -69,9 +105,18 @@ def _canonical_perm(g: Graph) -> tuple[int, ...]:
     best: list[int] = []  # column values of the best encoding prefix
     best_perm: list[int] = []
     placed: list[int] = []
+    fresh = True  # the path improves on the best encoding seen so far
 
     def dfs(level: int, used: int) -> None:
+        nonlocal fresh
         if level == n:
+            # the last order to reach the best encoding is the one returned;
+            # isomorphism, and so every certificate's map, is built from it
+            if fresh:
+                leaves.clear()
+                fresh = False
+            else:
+                leaves.append(best_perm[:])
             best_perm[:] = placed
             return
         cands = []
@@ -92,6 +137,7 @@ def _canonical_perm(g: Graph) -> tuple[int, ...]:
                 if col < best[level]:
                     best[level] = col
                     del best[level + 1:]
+                    fresh = True
             else:
                 best.append(col)
             # identical subtrees: skip v when a tried candidate with the
@@ -101,6 +147,7 @@ def _canonical_perm(g: Graph) -> tuple[int, ...]:
                 if c0 == col:
                     excl = ~((1 << v) | (1 << v0))
                     if rows[v] & excl == rows[v0] & excl:
+                        twins.append((v, v0))
                         skip = True
                         break
             if skip:
@@ -111,22 +158,18 @@ def _canonical_perm(g: Graph) -> tuple[int, ...]:
             tried.append((col, v))
 
     dfs(0, 0)
-    return tuple(best_perm)
+    return best_perm, twins, leaves
 
 
-def canonical_form(g: Graph) -> Graph:
-    """The canonically relabelled representative of g's isomorphism class.
-
-    While the cache has room, every call for one class returns the same
-    object."""
-    form = _FORMS.get(g)
-    if form is not None:
-        return form
+def _check_order(g: Graph) -> None:
     if g.n > CANON_MAX_VERTICES:
         raise ValueError(
             f"canonical form capped at {CANON_MAX_VERTICES} vertices, got {g.n}"
         )
-    perm = _canonical_perm(g)
+
+
+def _intern(g: Graph, perm: list[int]) -> Graph:
+    """g relabelled by perm, as the form cache's object for its class."""
     pos = [0] * g.n
     for i, v in enumerate(perm):
         pos[v] = i
@@ -139,6 +182,47 @@ def canonical_form(g: Graph) -> Graph:
     form = Graph._make(g.n, tuple(rows))
     form = _FORMS.get(form, form)
     cache_insert(_FORMS, form, form)
+    return form
+
+
+def canonical_labelling(
+    g: Graph, keys: list[tuple[int, ...]] | None = None
+) -> tuple[Graph, tuple[int, ...], list[tuple[int, ...]]]:
+    """(form, perm, generators) of one labelling search on g.
+
+    form is canonical_form(g); perm[i] is the vertex of g placed at
+    position i of form; each generator p is an automorphism of g, p[v] the
+    image of v, and together they generate Aut(g) (none when it is
+    trivial).  The form is interned in the form cache, but g itself is not
+    memoised, so one-shot inputs do not fill the cache.  keys, when given,
+    is cell_keys(g.rows), computed by a caller that screened g with it.
+    """
+    _check_order(g)
+    best, twins, leaves = _search(g, keys)
+    gens: dict[tuple[int, ...], None] = {}
+    ident = list(range(g.n))
+    for v, v0 in twins:
+        p = ident[:]
+        p[v], p[v0] = v0, v
+        gens[tuple(p)] = None
+    for leaf in leaves:
+        p = ident[:]
+        for b, lv in zip(best, leaf):
+            p[b] = lv
+        gens[tuple(p)] = None
+    return _intern(g, best), tuple(best), list(gens)
+
+
+def canonical_form(g: Graph) -> Graph:
+    """The canonically relabelled representative of g's isomorphism class.
+
+    While the cache has room, every call for one class returns the same
+    object."""
+    form = _FORMS.get(g)
+    if form is not None:
+        return form
+    _check_order(g)
+    form = _intern(g, _search(g)[0])
     cache_insert(_FORMS, g, form)
     return form
 
@@ -148,10 +232,13 @@ def canonical_key(g: Graph) -> str:
     return to_graph6(canonical_form(g))
 
 
+def _invariants_differ(g: Graph, h: Graph) -> bool:
+    return (g.n != h.n or g.num_edges != h.num_edges
+            or g.degree_sequence() != h.degree_sequence())
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
+    if _invariants_differ(g, h):
         return False
     return canonical_form(g) == canonical_form(h)
 
@@ -159,13 +246,15 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def isomorphism(g: Graph, h: Graph) -> list[int] | None:
     """A bijection phi with phi[v] in h for v in g, or None.
 
-    Composes the two canonical permutations, so correctness follows from
-    the canonical forms being equal.
+    Composes the canonical permutations of one labelling of each side, so
+    correctness follows from the canonical forms being equal.
     """
-    if not is_isomorphic(g, h):
+    if _invariants_differ(g, h):
         return None
-    pg = _canonical_perm(g)
-    ph = _canonical_perm(h)
+    fg, pg, _ = canonical_labelling(g)
+    fh, ph, _ = canonical_labelling(h)
+    if fg != fh:
+        return None
     phi = [0] * g.n
     for i in range(g.n):
         phi[pg[i]] = ph[i]

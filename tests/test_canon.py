@@ -1,5 +1,6 @@
 """Canonical forms: equal keys must mean isomorphic, and nothing else."""
 
+import hashlib
 import itertools
 import random
 
@@ -18,7 +19,7 @@ from pivotminors import (
 )
 from pivotminors import canon
 from pivotminors.canon import CANON_MAX_VERTICES
-from pivotminors.generate import KNOWN_CLASS_COUNTS
+from pivotminors.generate import KNOWN_CLASS_COUNTS, generate_all_graphs
 
 
 def all_labeled_graphs(n):
@@ -86,6 +87,87 @@ def test_canonical_form_is_idempotent():
                       if rng.random() < 0.5])
         cf = canonical_form(g)
         assert canonical_form(cf) == cf
+
+
+def brute_automorphism_count(g):
+    """|Aut(g)| by extending partial maps vertex by vertex, keeping only
+    those that preserve edges and non-edges so far."""
+    def extend(phi, used):
+        i = len(phi)
+        if i == g.n:
+            return 1
+        return sum(
+            extend(phi + [w], used | 1 << w)
+            for w in range(g.n)
+            if not used >> w & 1
+            and all(g.has_edge(i, j) == g.has_edge(w, phi[j]) for j in range(i))
+        )
+    return extend([], 0)
+
+
+def group_closure(gens, n):
+    """Every element of the group generated by gens, as tuples."""
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    for a in frontier:
+        for p in gens:
+            b = tuple(p[x] for x in a)
+            if b not in elements:
+                elements.add(b)
+                frontier.append(b)
+    return elements
+
+
+def symmetric_test_graphs():
+    pairs = list(itertools.combinations(range(5), 2))  # Petersen as Kneser
+    petersen = Graph(10, [(pairs.index(a), pairs.index(b)) for a in pairs
+                          for b in pairs if a < b and not set(a) & set(b)])
+    q3 = Graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)
+                   if u < u ^ 1 << b])
+    return [named_graph("C8"), q3, named_graph("K3,3"), petersen, Graph(7)]
+
+
+def test_labelling_returns_the_automorphism_group():
+    graphs = [g for n in range(7) for g in generate_all_graphs(n)]
+    rng = random.Random(15)
+    for g in graphs + symmetric_test_graphs():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)  # not a form, so the search has work to do
+        form, order, gens = canon.canonical_labelling(g)
+        assert form is canonical_form(g)
+        assert relabel(g, list(order)) == form
+        for p in gens:
+            assert sorted(p) == list(range(g.n)) and p != tuple(range(g.n))
+            assert relabel(g, list(p)) == g  # p preserves edges
+        assert len(group_closure(gens, g.n)) == brute_automorphism_count(g)
+
+
+# sha256 of the canonical permutations of the graphs below, one line each.
+# They set the maps that isomorphism returns and certificates store, so
+# recording the group must not move them; a new labelling (ROADMAP item 1)
+# re-pins this on purpose.
+PERMUTATION_DIGEST = (
+    "78cbf3893ba2f6c1dddc5864b185b1b034004c97474bc92ee21bf2684e2408ab")
+
+
+def test_canonical_permutations_are_pinned():
+    rng = random.Random(16)
+    graphs = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < 0.5])
+              for n in range(1, 10) for _ in range(30)]
+    graphs += symmetric_test_graphs()
+    text = "".join(",".join(map(str, canon.canonical_labelling(g)[1])) + "\n"
+                   for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == PERMUTATION_DIGEST
+
+
+def test_labelling_does_not_memoise_its_input(monkeypatch):
+    monkeypatch.setattr(canon, "_FORMS", {})
+    g = relabel(named_graph("P5"), [3, 0, 4, 1, 2])
+    form, _, _ = canon.canonical_labelling(g)
+    assert canon._FORMS == {form: form}
+    assert canonical_form(g) is form
 
 
 def test_full_form_cache_warns_and_still_computes(monkeypatch):

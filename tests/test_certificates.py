@@ -175,7 +175,11 @@ def test_verifier_does_not_use_canonical_forms(cache, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("verify_certificate called into canon")
 
-    monkeypatch.setattr(canon, "canonical_form", broken)
-    monkeypatch.setattr(canon, "_canonical_perm", broken)
+    # every labelling entry point (canonical_form, canonical_labelling and
+    # isomorphism) runs canon._search unless the form cache answers, so
+    # empty the cache as well as breaking the search and the entry points
+    monkeypatch.setattr(canon, "_FORMS", {})
+    for name in ("canonical_form", "canonical_labelling", "_search"):
+        monkeypatch.setattr(canon, name, broken)
     outcome = verify_certificate(g, cert, named_graph("C3"))
     assert outcome.ok, outcome.reason
