@@ -89,6 +89,8 @@ def steps_to_json(steps: Iterable[Step]) -> list[dict]:
 def steps_from_json(data: Sequence[dict]) -> list[Step]:
     steps: list[Step] = []
     for i, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise ValueError(f"step {i}: not an object")
         op = obj.get("op")
         if op == "pivot":
             steps.append(PivotEdge(int(obj["u"]), int(obj["v"])))
@@ -201,7 +203,8 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
-        if data.get("format") != "pivot-minor-certificate":
+        if (not isinstance(data, dict)
+                or data.get("format") != "pivot-minor-certificate"):
             raise ValueError("not a pivot-minor certificate")
         version = data.get("version")
         if version != CERTIFICATE_VERSION:
@@ -209,15 +212,24 @@ class Certificate:
                 f"certificate format version {version!r} is not supported; "
                 f"this reader takes version {CERTIFICATE_VERSION}"
             )
-        return cls(
-            input_graph6=data["input"]["graph6"],
-            vertices=tuple(int(v) for v in data["vertices"]),
-            steps=tuple(steps_from_json(data["steps"])),
-            target_map=tuple(int(v) for v in data["target_map"]),
-            obstruction_name=data.get("obstruction", {}).get("name"),
-            obstruction_graph6=data.get("obstruction", {}).get("graph6", ""),
-            target_graph6=data.get("target", {}).get("graph6", ""),
-        )
+        for name, kind in (("input", dict), ("vertices", list), ("steps", list),
+                           ("target_map", list), ("obstruction", dict),
+                           ("target", dict)):
+            if not isinstance(data.get(name, kind()), kind):
+                raise ValueError(f"certificate field {name!r} must be a JSON "
+                                 f"{'object' if kind is dict else 'array'}")
+        try:
+            return cls(
+                input_graph6=data["input"]["graph6"],
+                vertices=tuple(int(v) for v in data["vertices"]),
+                steps=tuple(steps_from_json(data["steps"])),
+                target_map=tuple(int(v) for v in data["target_map"]),
+                obstruction_name=data.get("obstruction", {}).get("name"),
+                obstruction_graph6=data.get("obstruction", {}).get("graph6", ""),
+                target_graph6=data.get("target", {}).get("graph6", ""),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed certificate: {exc!r}") from None
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":

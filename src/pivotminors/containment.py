@@ -120,15 +120,13 @@ class PivotMinorCache:
             cache_insert(self.children, g, kids)
         return kids
 
-    def target_orbit_keys(self, h: Graph, limit: int) -> frozenset[Graph] | None:
-        """The forms in the pivot orbit of the canonical form h, or None
-        when the orbit has more than limit labelled members.  The answer
-        depends on limit alone, not on what earlier calls stored."""
-        orbit = self._target_orbit(h, limit)
-        return None if orbit is None else orbit[0]
-
-    def _target_orbit(self, h: Graph, limit: int) -> tuple[frozenset, frozenset] | None:
-        """target_orbit_keys, with the degree sequences of the forms."""
+    def target_orbit_keys(
+        self, h: Graph, limit: int
+    ) -> tuple[frozenset[Graph], frozenset] | None:
+        """The forms in the pivot orbit of the canonical form h and their
+        degree sequences, or None when the orbit has more than limit
+        labelled members.  The answer depends on limit alone, not on what
+        earlier calls stored."""
         cached = self.target_orbits.get(h)
         if isinstance(cached, tuple):
             size, forms, degrees = cached
@@ -174,7 +172,7 @@ def contains_pivot_minor(
     if g.n < h.n:
         return Verdict.FALSE
     th = canonical_form(h)
-    target = cache._target_orbit(th, orbit_limit)
+    target = cache.target_orbit_keys(th, orbit_limit)
     if target is None:
         return Verdict.INCONCLUSIVE
     orbit, degrees = target
@@ -209,7 +207,7 @@ def pivot_equivalent(
     the orbit has more than orbit_limit members."""
     if g.n != h.n:
         return False
-    orbit = DEFAULT_CACHE.target_orbit_keys(canonical_form(h), orbit_limit)
-    if orbit is None:
+    target = DEFAULT_CACHE.target_orbit_keys(canonical_form(h), orbit_limit)
+    if target is None:
         raise OrbitLimitError(orbit_limit)
-    return canonical_form(g) in orbit
+    return canonical_form(g) in target[0]

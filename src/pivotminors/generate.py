@@ -77,30 +77,36 @@ def extend_by_one_vertex(parents: Iterable[Graph]) -> Iterator[Graph]:
         top = max((r.bit_count() for r in prows), default=0)
         at_top = sum(1 << v for v in range(new) if prows[v].bit_count() == top)
         images = _mask_images(canonical_labelling(parent)[2], new)
-        met = bytearray(newbit) if images else None  # masks of orbits tried
+        met = bytearray(newbit)  # masks of orbits tried
         for mask in range(newbit):
             d = mask.bit_count()
             if d < top or d == top and mask & at_top:
                 continue  # an old vertex outranks the new one in degree
-            if met is not None:
-                if met[mask]:
-                    continue
-                met[mask] = 1
-                orbit = [mask]
-                for m in orbit:
-                    for image in images:
-                        m2 = image[m]
-                        if not met[m2]:
-                            met[m2] = 1
-                            orbit.append(m2)
+            if met[mask]:
+                continue
+            _orbit(mask, images, met)
             rows = tuple(prows[v] | newbit if mask >> v & 1 else prows[v]
                          for v in range(new)) + (mask,)
             keys = cell_keys(rows)
             if keys[new] != max(keys):
                 continue
             form, perm, gens = canonical_labelling(Graph._make(k, rows), keys)
-            if perm[-1] == new or _same_orbit(perm[-1], new, gens):
+            if new in _orbit(perm[-1], gens, bytearray(k)):
                 yield form
+
+
+def _orbit(x: int, tables, met: bytearray) -> list[int]:
+    """The orbit of x under the maps given as tables (table[y] is the image
+    of y; a permutation tuple is its own table), each member marked in met."""
+    met[x] = 1
+    orbit = [x]
+    for y in orbit:
+        for table in tables:
+            z = table[y]
+            if not met[z]:
+                met[z] = 1
+                orbit.append(z)
+    return orbit
 
 
 def _mask_images(gens: list[tuple[int, ...]], n: int) -> list[list[int]]:
@@ -114,18 +120,3 @@ def _mask_images(gens: list[tuple[int, ...]], n: int) -> list[list[int]]:
             table += [m | bit for m in table]
         tables.append(table)
     return tables
-
-
-def _same_orbit(u: int, v: int, gens: list[tuple[int, ...]]) -> bool:
-    """Whether the group generated by gens maps u to v."""
-    reached = {u}
-    frontier = [u]
-    for x in frontier:
-        for p in gens:
-            y = p[x]
-            if y == v:
-                return True
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return False

@@ -99,9 +99,10 @@ def mine(
     if cache is None:
         cache = PivotMinorCache()
     th = canonical_form(h)
-    orbit = None
+    target = None
     if n_max >= th.n:
-        orbit = cache.target_orbit_keys(th, DEFAULT_ORBIT_LIMIT)
+        target = cache.target_orbit_keys(th, DEFAULT_ORBIT_LIMIT)
+    orbit = None if target is None else target[0]
     members: list[Graph] = []
     unresolved: list[Graph] = []
     # the classes not known to contain h: all of them when the orbit is blown
@@ -168,6 +169,8 @@ def save_obstruction_set(obs: ObstructionSet, directory: str | Path) -> None:
 def load_obstruction_set(directory: str | Path) -> ObstructionSet:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest.json must hold a JSON object")
     lines = (directory / "members.g6").read_text()
     digest = hashlib.sha256(lines.encode()).hexdigest()
     if digest != manifest["members_sha256"]:

@@ -17,13 +17,19 @@ Obstruction lists used here:
               multipartite graph with leaves on singleton classes)
   3P1      -> 3P1, W4, co-BW3
   claw     -> claw, P5, bull, W4, co-BW3
+
+The searched lists live in one table, _OBSTRUCTIONS, and one search,
+_search_obstructions, certifies what it finds, each pivot sequence found
+once per (obstruction, target) pair.  Odd cycles, and 2P2's two edged
+components, are certified by hand; a paw/diamond component with a
+triangle is certified by a search for diamond, then paw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import find_induced_embedding
+from .canon import cache_insert, find_induced_embedding
 from .catalog import named_graph
 from .certificates import (
     Certificate,
@@ -63,22 +69,29 @@ class RecognitionResult:
         return self.verdict == "contains"
 
 
-# canned pivot sequences between fixed named graphs, found once and reused
-_SEQ_CACHE: dict[tuple[str, str], tuple[list[Step], list[int]]] = {}
+# the induced obstructions each search looks for, in search order
+_OBSTRUCTIONS = {key: [(name, named_graph(name)) for name in names.split()]
+                 for key, names in (("clique-star", "P4 C4 dart"),
+                                    ("triangle", "diamond paw"),
+                                    ("2P2", "O1 O2 O3 O7 O9 O4 O5 O6 O8"),
+                                    ("3P1", "3P1 W4 co-BW3"),
+                                    ("claw", "claw P5 bull W4 co-BW3"))}
+# the eight targets, C5 (longer odd holes are shrunk to it), prism and W5
+_NAMED = {name: named_graph(name) for name in
+          "C3 P4 C4 paw diamond 2P2 3P1 claw C5 prism W5".split()}
+
+# (obstruction, target) -> steps and final bijection carrying the labelled
+# obstruction onto the labelled target
+_SEQUENCES: dict[tuple[Graph, Graph], tuple[list[Step], list[int]]] = {}
 
 
-def canned_sequence(obs_name: str, target_name: str) -> tuple[list[Step], list[int]]:
-    """Steps and final bijection carrying the named obstruction onto the
-    named target."""
-    key = (obs_name, target_name)
-    if key not in _SEQ_CACHE:
-        found = find_pivot_minor_sequence(named_graph(obs_name),
-                                          named_graph(target_name))
-        if found is None:
-            raise ValueError(f"{target_name} is not a pivot-minor of {obs_name}")
-        _SEQ_CACHE[key] = found
-    steps, iso = _SEQ_CACHE[key]
-    return list(steps), list(iso)
+def _sequence(obs: Graph, target: Graph, cache: PivotMinorCache | None = None):
+    found = _SEQUENCES.get((obs, target))
+    if found is None:
+        found = find_pivot_minor_sequence(obs, target, cache=cache)
+        assert found is not None, "an obstruction contains its target"
+        cache_insert(_SEQUENCES, (obs, target), found)
+    return found
 
 
 def _odd_cycle_steps(k: int, floor: int) -> list[Step]:
@@ -119,16 +132,11 @@ def _shortest_odd_cycle(g: Graph) -> list[int]:
             if u in dist and v in dist and dist[u] == dist[v]:
                 length = dist[u] + dist[v] + 1
                 if length < best_len:
-                    pu = []
-                    x = u
-                    while x != -1:
-                        pu.append(x)
-                        x = parent[x]
-                    pv = []
-                    x = v
-                    while x != -1:
-                        pv.append(x)
-                        x = parent[x]
+                    # walk both tree paths up to the root together
+                    pu, pv = [u], [v]
+                    for _ in range(dist[u]):
+                        pu.append(parent[pu[-1]])
+                        pv.append(parent[pv[-1]])
                     cycle = pu[::-1] + pv[:-1]
                     if len(set(cycle)) == len(cycle):
                         best_len = length
@@ -144,32 +152,24 @@ def _shortest_odd_cycle(g: Graph) -> list[int]:
     return best
 
 
-def _certificate_from_embedding(
-    g: Graph, obs_name: str, target: Graph, target_name: str,
-    embedding: list[int],
-) -> Certificate:
-    steps, iso = canned_sequence(obs_name, target_name)
-    return build_certificate(
-        g, embedding, steps, iso, target, obstruction_name=obs_name
-    )
-
-
 def _search_obstructions(
-    g: Graph, names: list[str], target_name: str
-) -> RecognitionResult | None:
-    target = named_graph(target_name)
-    for name in names:
-        emb = find_induced_embedding(named_graph(name), g)
+    g: Graph, obstructions: list[tuple[str | None, Graph]], target: Graph,
+    target_name: str, method: str, cache: PivotMinorCache | None = None,
+) -> RecognitionResult:
+    """Certifies the first obstruction of the list that g induces; "free"
+    when g induces none."""
+    for name, obs in obstructions:
+        emb = find_induced_embedding(obs, g)
         if emb is not None:
-            cert = _certificate_from_embedding(g, name, target, target_name, emb)
-            return RecognitionResult(
-                target=target_name,
-                verdict="contains",
-                method="forbidden-subgraph search",
-                certificate=cert,
-                obstruction_name=name,
+            steps, iso = _sequence(obs, target, cache)
+            cert = build_certificate(
+                g, emb, steps, iso, target, obstruction_name=name
             )
-    return None
+            return RecognitionResult(
+                target_name, "contains", method,
+                certificate=cert, obstruction_name=name,
+            )
+    return RecognitionResult(target_name, "free", method)
 
 
 # -- C3 ---------------------------------------------------------------------
@@ -182,7 +182,7 @@ def recognize_c3(g: Graph) -> RecognitionResult:
     k = len(cycle)
     steps = _odd_cycle_steps(k, 3)
     cert = build_certificate(
-        g, cycle, steps, [0, 1, 2], named_graph("C3"), obstruction_name=f"C{k}"
+        g, cycle, steps, [0, 1, 2], _NAMED["C3"], obstruction_name=f"C{k}"
     )
     return RecognitionResult(
         "C3", "contains", "odd-cycle extraction",
@@ -205,8 +205,6 @@ def _is_clique_star(sub: Graph) -> bool:
     n = sub.n
     full = (1 << n) - 1
     universal = [v for v in range(n) if sub.rows[v] == full & ~(1 << v)]
-    if len(universal) == n:
-        return True
     if not universal:
         return False
     rest = [v for v in range(n) if v not in universal]
@@ -217,14 +215,13 @@ def _is_clique_star(sub: Graph) -> bool:
 
 
 def _recognize_via_clique_stars(g: Graph, target_name: str) -> RecognitionResult:
+    method = "clique-star decomposition"
     comps = connected_components(g)
     if all(_is_clique_star(induced_subgraph(g, c)) for c in comps):
-        return RecognitionResult(
-            target_name, "free", "clique-star decomposition"
-        )
-    result = _search_obstructions(g, ["P4", "C4", "dart"], target_name)
-    assert result is not None, "clique-star test failed but no obstruction found"
-    result.method = "clique-star decomposition"
+        return RecognitionResult(target_name, "free", method)
+    result = _search_obstructions(g, _OBSTRUCTIONS["clique-star"],
+                                  _NAMED[target_name], target_name, method)
+    assert result.contains, "clique-star test failed but no obstruction found"
     return result
 
 
@@ -240,76 +237,37 @@ def recognize_c4(g: Graph) -> RecognitionResult:
 
 # -- paw and diamond ----------------------------------------------------------
 
-def _grow_clique(sub: Graph, seed: list[int]) -> list[int]:
-    clique = list(seed)
-    mask = 0
-    for v in clique:
-        mask |= 1 << v
-    changed = True
-    while changed:
-        changed = False
-        for v in range(sub.n):
-            if not mask >> v & 1 and sub.rows[v] & mask == mask:
-                clique.append(v)
-                mask |= 1 << v
-                changed = True
-    return clique
-
-
 def _recognize_via_bipartite_or_complete(
     g: Graph, target_name: str
 ) -> RecognitionResult:
-    target = named_graph(target_name)
+    method = "bipartite-or-complete decomposition"
+    target = _NAMED[target_name]
     for comp in connected_components(g):
         sub = induced_subgraph(g, comp)
-        full = (1 << sub.n) - 1
-        if all(sub.rows[v] == full & ~(1 << v) for v in range(sub.n)):
-            continue  # complete component
-        if bipartition(sub) is not None:
+        if _is_clique(sub, range(sub.n)) or bipartition(sub) is not None:
             continue
         cycle = _shortest_odd_cycle(sub)
         k = len(cycle)
-        if k >= 5:
-            steps = _odd_cycle_steps(k, 5)
-            tail, iso = canned_sequence("C5", target_name)
-            cert = build_certificate(
-                g, [comp[i] for i in cycle], steps + tail, iso, target,
-                obstruction_name=f"C{k}",
-            )
-            return RecognitionResult(
-                target_name, "contains", "bipartite-or-complete decomposition",
-                certificate=cert, obstruction_name=f"C{k}",
-            )
-        # a triangle exists: grow it to a maximal clique, then look at a
-        # boundary vertex to pin down a paw or a diamond
-        clique = _grow_clique(sub, cycle)
-        cmask = 0
-        for v in clique:
-            cmask |= 1 << v
-        w = next(
-            v for v in range(sub.n)
-            if not cmask >> v & 1 and sub.rows[v] & cmask
-        )
-        inside = sorted(_bits(sub.rows[w] & cmask))
-        outside = sorted(_bits(cmask & ~sub.rows[w]))
-        if len(inside) >= 2:
-            obs_name = "diamond"
-            verts = [inside[0], inside[1], w, outside[0]]
-        else:
-            obs_name = "paw"
-            verts = [inside[0], outside[0], outside[1], w]
-        steps, iso = canned_sequence(obs_name, target_name)
+        if k == 3:
+            # a connected, non-complete graph with a triangle has an induced
+            # diamond or paw: a vertex outside a maximal clique through the
+            # triangle, but next to it, misses a clique vertex and sees one
+            # (paw) or at least two (diamond), so this search always succeeds
+            result = _search_obstructions(g, _OBSTRUCTIONS["triangle"],
+                                          target, target_name, method)
+            assert result.contains, "a triangle component has no paw or diamond"
+            return result
+        steps = _odd_cycle_steps(k, 5)
+        tail, iso = _sequence(_NAMED["C5"], target)
         cert = build_certificate(
-            g, [comp[i] for i in verts], steps, iso, target,
-            obstruction_name=obs_name,
+            g, [comp[i] for i in cycle], steps + tail, iso, target,
+            obstruction_name=f"C{k}",
         )
         return RecognitionResult(
-            target_name, "contains", "bipartite-or-complete decomposition",
-            certificate=cert, obstruction_name=obs_name,
+            target_name, "contains", method,
+            certificate=cert, obstruction_name=f"C{k}",
         )
-    return RecognitionResult(
-        target_name, "free", "bipartite-or-complete decomposition"
-    )
+    return RecognitionResult(target_name, "free", method)
 
 
 def recognize_paw(g: Graph) -> RecognitionResult:
@@ -352,9 +310,6 @@ def _is_leaf_attached_multipartite(sub: Graph) -> bool:
     return True
 
 
-_O_NAMES = ["O1", "O2", "O3", "O7", "O9", "O4", "O5", "O6", "O8"]
-
-
 def recognize_2p2(g: Graph) -> RecognitionResult:
     """Free iff at most one component has an edge and that component is an
     induced subgraph of the prism or of W5, or a complete multipartite
@@ -367,7 +322,7 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
         (u2, v2) = next(iter(induced_subgraph(g, edged[1]).edges()))
         verts = [edged[0][u1], edged[0][v1], edged[1][u2], edged[1][v2]]
         cert = build_certificate(
-            g, verts, [], [0, 1, 2, 3], named_graph("2P2"),
+            g, verts, [], [0, 1, 2, 3], _NAMED["2P2"],
             obstruction_name="2P2",
         )
         return RecognitionResult(
@@ -382,7 +337,7 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
     sub = induced_subgraph(g, edged[0])
     if sub.n <= 6:
         for host_name in ("prism", "W5"):
-            if find_induced_embedding(sub, named_graph(host_name)) is not None:
+            if find_induced_embedding(sub, _NAMED[host_name]) is not None:
                 return RecognitionResult(
                     target_name, "free", "component structure",
                     detail=f"edged component embeds in the {host_name}",
@@ -392,9 +347,9 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
             target_name, "free", "component structure",
             detail="edged component is leaf-attached complete multipartite",
         )
-    result = _search_obstructions(g, _O_NAMES, target_name)
-    assert result is not None, "2P2 structure test failed but no O_i found"
-    result.method = "component structure"
+    result = _search_obstructions(g, _OBSTRUCTIONS["2P2"], _NAMED["2P2"],
+                                  target_name, "component structure")
+    assert result.contains, "2P2 structure test failed but no O_i found"
     return result
 
 
@@ -402,20 +357,14 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
 
 def recognize_3p1(g: Graph) -> RecognitionResult:
     """Free iff none of 3P1, W4, co-BW3 appears as an induced subgraph."""
-    result = _search_obstructions(g, ["3P1", "W4", "co-BW3"], "3P1")
-    if result is not None:
-        return result
-    return RecognitionResult("3P1", "free", "forbidden-subgraph search")
+    return _search_obstructions(g, _OBSTRUCTIONS["3P1"], _NAMED["3P1"],
+                                "3P1", "forbidden-subgraph search")
 
 
 def recognize_claw(g: Graph) -> RecognitionResult:
     """Free iff none of claw, P5, bull, W4, co-BW3 appears induced."""
-    result = _search_obstructions(
-        g, ["claw", "P5", "bull", "W4", "co-BW3"], "claw"
-    )
-    if result is not None:
-        return result
-    return RecognitionResult("claw", "free", "forbidden-subgraph search")
+    return _search_obstructions(g, _OBSTRUCTIONS["claw"], _NAMED["claw"],
+                                "claw", "forbidden-subgraph search")
 
 
 # -- bounded families ---------------------------------------------------------
@@ -447,19 +396,11 @@ def recognize_bounded(
             f"the proved bound {bound}; pass allow_truncated to accept a "
             "weaker verdict"
         )
-    for member in sorted(obstructions.members, key=lambda m: m.n):
-        emb = find_induced_embedding(member, g)
-        if emb is not None:
-            found = find_pivot_minor_sequence(member, h, cache=cache)
-            assert found is not None
-            steps, iso = found
-            cert = build_certificate(g, emb, steps, iso, h)
-            return RecognitionResult(
-                target_name, "contains", "mined obstruction list",
-                certificate=cert, obstruction_name=None,
-            )
-    if complete:
-        return RecognitionResult(target_name, "free", "mined obstruction list")
+    members = sorted(obstructions.members, key=lambda m: m.n)
+    result = _search_obstructions(g, [(None, m) for m in members], h,
+                                  target_name, "mined obstruction list", cache)
+    if result.contains or complete:
+        return result
     return RecognitionResult(
         target_name, "free-up-to-truncation", "mined obstruction list",
         detail=f"no obstruction with at most {obstructions.complete_up_to} "

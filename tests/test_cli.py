@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from pivotminors import (
     Graph,
     canonical_key,
@@ -295,3 +297,35 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("break_it, named", [
+    (lambda c: {**c, "obstruction": None}, "'obstruction'"),
+    (lambda c: {**c, "input": None}, "'input'"),
+    (lambda c: {**c, "vertices": None}, "'vertices'"),
+    (lambda c: {**c, "steps": [5] + c["steps"]}, "step 0"),
+    (lambda c: [c], "not a pivot-minor certificate"),
+    (lambda c: {**c, "vertices": [None] + c["vertices"][1:]},
+     "malformed certificate"),
+], ids=["obstruction-null", "input-null", "vertices-null", "step-not-object",
+        "top-level-list", "vertex-null"])
+def test_verify_names_the_malformed_certificate_field(tmp_path, capsys,
+                                                      break_it, named):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "recognize", "--target", "claw", "--in", "claw",
+        "--emit-cert", str(cert_path))
+    cert_path.write_text(json.dumps(break_it(json.loads(cert_path.read_text()))))
+    code, _, err = run(capsys, "verify", "--in", "claw",
+                       "--cert", str(cert_path), "--h", "claw")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and named in err, err
+
+
+def test_recognize_rejects_a_list_manifest(tmp_path, capsys):
+    out_dir = tmp_path / "obs"
+    run(capsys, "mine", "--h", "2P1", "--nmax", "3", "--out", str(out_dir))
+    (out_dir / "manifest.json").write_text("[]\n")
+    code, _, err = run(capsys, "recognize", "--target", "2P1", "--in", "K3",
+                       "--obstructions", str(out_dir))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "manifest.json" in err, err

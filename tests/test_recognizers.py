@@ -7,6 +7,7 @@ import pytest
 
 from pivotminors import (
     Graph,
+    Verdict,
     clique_star,
     complete_graph,
     complete_multipartite,
@@ -14,6 +15,7 @@ from pivotminors import (
     cycle_graph,
     disjoint_union,
     generate_all_graphs,
+    is_minimal_obstruction,
     leaf_attached_multipartite,
     mine,
     named_graph,
@@ -32,6 +34,7 @@ from pivotminors import (
     verify_certificate,
     wheel_graph,
 )
+from pivotminors import recognizers
 
 
 def assert_certified(result, g, target):
@@ -229,3 +232,54 @@ def test_recognizers_hold_up_at_64_vertices():
             if res.contains:
                 assert_certified(res, g, h)
     assert time.perf_counter() - start < 30.0
+
+
+# -- one obstruction search behind the certificates ------------------------
+
+SEARCH_TARGETS = {  # key of recognizers._OBSTRUCTIONS -> targets searched
+    "clique-star": ("P4", "C4"),
+    "triangle": ("paw", "diamond"),
+    "2P2": ("2P2",),
+    "3P1": ("3P1",),
+    "claw": ("claw",),
+}
+
+
+def test_searched_obstructions_are_minimal(cache):
+    assert set(recognizers._OBSTRUCTIONS) == set(SEARCH_TARGETS)
+    for key, targets in SEARCH_TARGETS.items():
+        for name, obs in recognizers._OBSTRUCTIONS[key]:
+            assert obs == named_graph(name)
+            for t in targets:
+                verdict = is_minimal_obstruction(obs, named_graph(t), cache=cache)
+                assert verdict is Verdict.TRUE, (name, t)
+
+
+def test_recognize_bounded_finds_a_member_sequence_once(monkeypatch, cache):
+    obs = mine(Graph(2), 3, cache=cache, target_name="tP1[t=2]")
+    calls = []
+    search = recognizers.find_pivot_minor_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(recognizers, "find_pivot_minor_sequence", counted)
+    monkeypatch.setattr(recognizers, "_SEQUENCES", {})
+    found = []
+    for host in (path_graph(3), cycle_graph(4)):
+        res = recognize_bounded(host, "tP1", 2, obs, cache=cache)
+        assert_certified(res, host, Graph(2))
+        found.append(res.certificate.obstruction_graph6)
+    assert found[0] == found[1]
+    assert len(calls) == 1
+
+
+def test_first_bad_component_picks_the_branch():
+    paw, c7 = named_graph("paw"), cycle_graph(7)
+    for rec, tname in ((recognize_paw, "paw"), (recognize_diamond, "diamond")):
+        for g, expected in ((disjoint_union(c7, paw), "C7"),
+                            (disjoint_union(paw, c7), "paw")):
+            res = rec(g)
+            assert res.obstruction_name == expected, (tname, expected)
+            assert_certified(res, g, named_graph(tname))
