@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .graphs import Graph, complement, disjoint_union
+from .graphs import Graph, disjoint_union
 
 
 def path_graph(k: int) -> Graph:
@@ -189,10 +189,7 @@ def _base_graph(name: str) -> Graph:
         return _SPECIALS[low]()
     m = re.fullmatch(r"[kK](\d+(?:,\d+)+)", name)
     if m:
-        sizes = [int(x) for x in m.group(1).split(",")]
-        if sizes[0] == 1 and len(sizes) == 2:
-            return star_graph(sizes[1])
-        return complete_multipartite(sizes)
+        return complete_multipartite([int(x) for x in m.group(1).split(",")])
     m = re.fullmatch(r"([pPcCkKwW])(\d+)", name)
     if m:
         kind, k = m.group(1).lower(), int(m.group(2))
@@ -235,12 +232,3 @@ def is_named_graph(name: str) -> bool:
 def graph_names() -> list[str]:
     """The fixed base names (parameterized families not enumerated)."""
     return sorted(set(_SPECIALS) - {"cobw3"})
-
-
-# complement() is re-exported here because names like co-BW3 are defined
-# through it and callers of the catalog tend to want it too
-__all__ = [
-    "named_graph", "is_named_graph", "graph_names", "path_graph",
-    "cycle_graph", "complete_graph", "star_graph", "wheel_graph",
-    "complement",
-]

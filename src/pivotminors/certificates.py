@@ -11,7 +11,9 @@ turning that induced subgraph into the target, and the final bijection
 onto the target, checked edge by edge.  Format version 2 stores the
 obstruction labelled, as the graph6 of that induced subgraph in
 certificate order, and the target as the graph6 it was issued for, so the
-verifier compares labelled graphs and needs no canonical form.
+verifier compares labelled graphs and needs no canonical form.  It replays
+the steps through apply_sequence, the one definition of the step language
+that callers share, and uses nothing from the search.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .containment import (
     contains_pivot_minor,
     pivot_orbit,
 )
-from .graphs import Graph, delete_vertex, induced_subgraph, pivot
+from .graphs import Graph, contract_pivot, delete_vertex, induced_subgraph, pivot
 from .io import to_graph6
 
 
@@ -101,6 +103,17 @@ def steps_from_json(data: Sequence[dict]) -> list[Step]:
     return steps
 
 
+def _reductions_with_steps(g: Graph):
+    """Each one-vertex reduction of g, in containment's order (delete v,
+    then contract v unless it is isolated), with the steps that do it."""
+    for v in range(g.n):
+        yield [DeleteVertex(v)], delete_vertex(g, v)
+        nb = g.rows[v]
+        if nb:
+            z = (nb & -nb).bit_length() - 1
+            yield [PivotEdge(z, v), DeleteVertex(v)], contract_pivot(g, v)
+
+
 def find_pivot_minor_sequence(
     g: Graph,
     h: Graph,
@@ -123,26 +136,15 @@ def find_pivot_minor_sequence(
 
     steps: list[Step] = []
     cur = g
-    # peel vertices while keeping containment, preferring plain deletion
+    # peel one vertex at a time, preferring plain deletion
     while cur.n > h.n:
-        for v in range(cur.n):
-            if contains_pivot_minor(delete_vertex(cur, v), h,
-                                    cache=cache, orbit_limit=orbit_limit):
-                steps.append(DeleteVertex(v))
-                cur = delete_vertex(cur, v)
-                break
-            nb = cur.rows[v]
-            if nb:
-                z = (nb & -nb).bit_length() - 1
-                pivoted = pivot(cur, z, v)
-                if contains_pivot_minor(delete_vertex(pivoted, v), h,
-                                        cache=cache, orbit_limit=orbit_limit):
-                    steps.append(PivotEdge(z, v))
-                    steps.append(DeleteVertex(v))
-                    cur = delete_vertex(pivoted, v)
-                    break
-        else:
+        found = next(((peel, r) for peel, r in _reductions_with_steps(cur)
+                      if contains_pivot_minor(r, h, cache=cache,
+                                              orbit_limit=orbit_limit)), None)
+        if found is None:
             raise AssertionError("containment held but no reduction worked")
+        peel, cur = found
+        steps += peel
 
     # same order: walk the pivot orbit of cur to an isomorphic copy of h
     fh = canonical_form(h)
@@ -268,10 +270,9 @@ class VerificationResult:
 def verify_certificate(g: Graph, cert: Certificate, target: Graph) -> VerificationResult:
     """Replay a certificate from scratch and check every claim in it.
 
-    Deliberately reimplements the replay loop instead of sharing the
-    search's bookkeeping; only the primitive graph operations and graph6
-    encoding are reused.  Obstruction and target are compared as labelled
-    graphs, so nothing here depends on canonical forms.
+    The steps run through apply_sequence, which callers share; nothing
+    from the search is used.  Obstruction and target are compared as
+    labelled graphs, so nothing here depends on canonical forms.
     """
     def fail(reason: str, step: int | None = None) -> VerificationResult:
         return VerificationResult(False, step, reason)
@@ -284,21 +285,10 @@ def verify_certificate(g: Graph, cert: Certificate, target: Graph) -> Verificati
     cur = induced_subgraph(g, vs)
     if to_graph6(cur) != cert.obstruction_graph6:
         return fail("induced subgraph does not match the claimed obstruction")
-    for i, step in enumerate(cert.steps):
-        if isinstance(step, PivotEdge):
-            u, v = step.u, step.v
-            if not (0 <= u < cur.n and 0 <= v < cur.n and u != v):
-                return fail(f"pivot ({u}, {v}) out of range", i)
-            if not cur.has_edge(u, v):
-                return fail(f"pivot ({u}, {v}) is not an edge", i)
-            cur = pivot(cur, u, v)
-        elif isinstance(step, DeleteVertex):
-            v = step.v
-            if not 0 <= v < cur.n:
-                return fail(f"delete {v} out of range", i)
-            cur = delete_vertex(cur, v)
-        else:
-            return fail(f"unknown step {step!r}", i)
+    try:
+        cur = apply_sequence(cur, cert.steps)
+    except SequenceError as exc:
+        return fail(exc.reason, exc.index)
     if cur.n != target.n:
         return fail(f"replay ends with {cur.n} vertices, target has {target.n}")
     phi = cert.target_map

@@ -31,6 +31,7 @@ from .graphs import Graph, pivot
 from .io import parse_graph_text, to_edgelist, to_graph6
 from .matroids import reduction_roundtrip
 from .obstructions import (
+    BOUND_FAMILIES,
     check_bound,
     diff_obstruction_sets,
     family_c3p1,
@@ -266,6 +267,10 @@ def _recognize_bounded_from_args(args, g: Graph):
 def _cmd_recognize(args) -> int:
     g = load_graph_arg(args.input)
     if args.target in RECOGNIZERS:
+        if args.obstructions or args.nmax is not None or args.allow_truncated:
+            raise UsageError(
+                f"{args.target} has a fixed recognizer; --obstructions, --nmax "
+                "and --allow-truncated apply to bounded family targets only")
         result = recognize(g, args.target)
     else:
         result = _recognize_bounded_from_args(args, g)
@@ -377,7 +382,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("check-bound", help="compare a sweep against a proved bound")
     sp.add_argument("--family", required=True,
-                    choices=["tP1", "P2+tP1", "K1,t", "P3+tP1"])
+                    choices=BOUND_FAMILIES)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--json", action="store_true")
@@ -439,10 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -62,9 +62,11 @@ def pivot_orbit(
 
     Each member maps to its BFS parent link (parent, u, v), meaning the
     member is pivot(parent, u, v); g itself maps to None.  Raises
-    OrbitLimitError once more than `limit` members appear, rather than
-    silently truncating.
+    OrbitLimitError once more than `limit` members appear, g included,
+    rather than silently truncating.
     """
+    if limit < 1:
+        raise OrbitLimitError(limit)
     links: dict[Graph, tuple[Graph, int, int] | None] = {g: None}
     queue = deque([g])
     while queue:

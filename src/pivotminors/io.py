@@ -122,7 +122,9 @@ def from_edgelist(text: str) -> Graph:
 def parse_graph_text(text: str) -> Graph:
     """Sniff the format: an "n m" header means edge list, else graph6."""
     stripped = text.strip()
-    first = stripped.splitlines()[0].split() if stripped else []
+    if not stripped:
+        raise ValueError("empty graph input")
+    first = stripped.splitlines()[0].split()
     if len(first) == 2 and all(t.isdigit() for t in first):
         return from_edgelist(text)
     return from_graph6(stripped.splitlines()[0])

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import cache_insert, find_induced_embedding
+from .canon import cache_insert, canonical_key, find_induced_embedding
 from .catalog import named_graph
 from .certificates import (
     Certificate,
@@ -61,12 +61,15 @@ class RecognitionResult:
     verdict: str  # "free" | "contains" | "free-up-to-truncation"
     method: str
     certificate: Certificate | None = None
-    obstruction_name: str | None = None
     detail: str | None = None
 
     @property
     def contains(self) -> bool:
         return self.verdict == "contains"
+
+    @property
+    def obstruction_name(self) -> str | None:
+        return self.certificate.obstruction_name if self.certificate else None
 
 
 # the induced obstructions each search looks for, in search order
@@ -165,10 +168,7 @@ def _search_obstructions(
             cert = build_certificate(
                 g, emb, steps, iso, target, obstruction_name=name
             )
-            return RecognitionResult(
-                target_name, "contains", method,
-                certificate=cert, obstruction_name=name,
-            )
+            return RecognitionResult(target_name, "contains", method, cert)
     return RecognitionResult(target_name, "free", method)
 
 
@@ -184,10 +184,7 @@ def recognize_c3(g: Graph) -> RecognitionResult:
     cert = build_certificate(
         g, cycle, steps, [0, 1, 2], _NAMED["C3"], obstruction_name=f"C{k}"
     )
-    return RecognitionResult(
-        "C3", "contains", "odd-cycle extraction",
-        certificate=cert, obstruction_name=f"C{k}",
-    )
+    return RecognitionResult("C3", "contains", "odd-cycle extraction", cert)
 
 
 # -- P4 and C4 ----------------------------------------------------------------
@@ -263,10 +260,7 @@ def _recognize_via_bipartite_or_complete(
             g, [comp[i] for i in cycle], steps + tail, iso, target,
             obstruction_name=f"C{k}",
         )
-        return RecognitionResult(
-            target_name, "contains", method,
-            certificate=cert, obstruction_name=f"C{k}",
-        )
+        return RecognitionResult(target_name, "contains", method, cert)
     return RecognitionResult(target_name, "free", method)
 
 
@@ -326,8 +320,7 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
             obstruction_name="2P2",
         )
         return RecognitionResult(
-            target_name, "contains", "component structure",
-            certificate=cert, obstruction_name="2P2",
+            target_name, "contains", "component structure", cert,
             detail="two components with edges",
         )
     if not edged:
@@ -379,7 +372,7 @@ def recognize_bounded(
     cache: PivotMinorCache | None = None,
 ) -> RecognitionResult:
     """Recognize {family target}-pivot-minor-freeness from a mined
-    obstruction set.
+    obstruction set, which must have been mined for that target.
 
     When the set stops below the proved order bound the answer "no
     obstruction found" is only conclusive up to that order; such sweeps
@@ -389,6 +382,9 @@ def recognize_bounded(
     h = family_target(family, t)
     bound = obstruction_order_bound(family, t)
     target_name = f"{family}[t={t}]"
+    if obstructions.target_key != canonical_key(h):
+        raise ValueError(f"the obstruction set was mined for "
+                         f"{obstructions.target_name}, not for {target_name}")
     complete = obstructions.complete_up_to >= bound
     if not complete and not allow_truncated:
         raise ValueError(

@@ -1,5 +1,6 @@
 """Step sequences, sequence search, and certificate replay."""
 
+import dataclasses
 import json
 
 import pytest
@@ -183,3 +184,21 @@ def test_verifier_does_not_use_canonical_forms(cache, monkeypatch):
         monkeypatch.setattr(canon, name, broken)
     outcome = verify_certificate(g, cert, named_graph("C3"))
     assert outcome.ok, outcome.reason
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (PivotEdge(0, 9), "out of range"),
+    (PivotEdge(1, 1), "not an edge"),
+    (PivotEdge(0, 2), "not an edge"),
+    (DeleteVertex(4), "out of range"),
+    ("bogus", "unknown step"),
+])
+def test_verifier_names_the_malformed_step(cache, bad, reason):
+    # deleting vertex 4 of the C5 leaves the path 0-1-2-3, so the
+    # malformed step is the second one
+    g, cert = make_cert(cache)
+    tampered = dataclasses.replace(cert, steps=(DeleteVertex(4), bad))
+    outcome = verify_certificate(g, tampered, named_graph("C3"))
+    assert not outcome.ok
+    assert outcome.step == 1
+    assert reason in outcome.reason

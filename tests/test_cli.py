@@ -6,13 +6,14 @@ import pytest
 
 from pivotminors import (
     Graph,
+    PivotMinorCache,
     canonical_key,
     complete_multipartite,
     named_graph,
     pivot,
     to_graph6,
 )
-from pivotminors import cli
+from pivotminors import cli, containment
 from pivotminors.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from pivotminors.generate import KNOWN_CLASS_COUNTS
 
@@ -329,3 +330,49 @@ def test_recognize_rejects_a_list_manifest(tmp_path, capsys):
                        "--obstructions", str(out_dir))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "manifest.json" in err, err
+
+
+def test_recognize_refuses_an_obstruction_set_for_another_target(
+        tmp_path, capsys):
+    out_dir = tmp_path / "c3"
+    code, _, _ = run(capsys, "mine", "--h", "C3", "--nmax", "6",
+                     "--out", str(out_dir))
+    assert code == EXIT_OK
+    # P3 contains 2P1 and C3 is an obstruction of C3; a C3 set answers
+    # neither query about 2P1
+    for host in ("P3", "C3"):
+        code, out, err = run(capsys, "recognize", "--in", host, "--target",
+                             "2P1", "--obstructions", str(out_dir))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "C3" in err and "tP1[t=2]" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--nmax", "4"), ("--allow-truncated",), ("--obstructions", "missing"),
+])
+def test_recognize_fixed_target_refuses_bounded_flags(capsys, flags):
+    code, out, err = run(capsys, "recognize", "--target", "3P1", "--in",
+                         "C5", *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "fixed recognizer" in err
+
+
+def test_empty_graph_input_is_a_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    for spec in ("g6:", str(empty)):
+        code, out, err = run(capsys, "convert", "--in", spec, "--to", "edges")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_contains_orbit_limit_counts_the_start_member(capsys, monkeypatch):
+    # a cold cache, so the target's orbit is enumerated under the limit
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C3",
+                       "--limit", "0")
+    assert code == EXIT_INCONCLUSIVE
+    assert out.strip() == "inconclusive"

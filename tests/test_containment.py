@@ -286,3 +286,9 @@ def test_pivot_equivalent_classes_share_pivot_minors(cache):
         for h in targets:
             assert bool(contains_pivot_minor(g, h, cache=cache)) == \
                 bool(contains_pivot_minor(p, h, cache=cache))
+
+
+def test_orbit_limit_counts_the_start_member():
+    with pytest.raises(OrbitLimitError):
+        pivot_orbit(named_graph("K3"), limit=0)
+    assert len(pivot_orbit(Graph(2), limit=1)) == 1

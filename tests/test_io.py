@@ -107,3 +107,9 @@ def test_parse_graph_text_sniffs_format():
     assert parse_graph_text("A_") == Graph(2, [(0, 1)])
     # an "n m" header wins even though "A?" is also valid graph6
     assert parse_graph_text("0 0") == Graph(0)
+
+
+def test_parse_graph_text_rejects_empty_input():
+    for text in ("", "  \n\n"):
+        with pytest.raises(ValueError, match="empty"):
+            parse_graph_text(text)

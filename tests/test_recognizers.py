@@ -1,5 +1,7 @@
 """Certifying recognizers: every branch, every certificate replayed."""
 
+import hashlib
+import json
 import random
 import time
 
@@ -283,3 +285,47 @@ def test_first_bad_component_picks_the_branch():
             res = rec(g)
             assert res.obstruction_name == expected, (tname, expected)
             assert_certified(res, g, named_graph(tname))
+
+
+def test_recognize_bounded_refuses_a_set_mined_for_another_target(cache):
+    # a C3 obstruction set says nothing about 2P1: P3 contains 2P1 and K3
+    # is an obstruction of C3, but neither may be answered from this set
+    obs = mine(named_graph("C3"), 6, cache=cache, target_name="C3")
+    for g in (path_graph(3), complete_graph(3)):
+        with pytest.raises(ValueError, match=r"C3.*tP1\[t=2\]"):
+            recognize_bounded(g, "tP1", 2, obs, cache=cache)
+
+
+TARGETS = ("C3", "P4", "C4", "paw", "diamond", "2P2", "3P1", "claw")
+# sha256 over one line per (class on at most 6 vertices, target): verdict,
+# obstruction name and certificate JSON without its "tool" field.  A new
+# canonical labelling (ROADMAP item 1) moves it, to be re-pinned on purpose.
+RECOGNIZER_DIGEST = (
+    "c9905b5b42ae4c40e61e2cc1b961989c6afa1b3ebe946ea19a3da3e823dd8bd6"
+)
+
+
+@pytest.fixture(scope="module")
+def small_results():
+    return [(g, t, recognize(g, t))
+            for n in range(7) for g in generate_all_graphs(n)
+            for t in TARGETS]
+
+
+def test_recognizer_output_is_pinned(small_results):
+    lines = []
+    for _, _, res in small_results:
+        cert = res.certificate.to_json() if res.certificate else None
+        if cert is not None:
+            del cert["tool"]
+        lines.append(f"{res.verdict}\t{res.obstruction_name}\t"
+                     f"{json.dumps(cert, sort_keys=True)}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == RECOGNIZER_DIGEST
+
+
+def test_obstruction_name_is_the_certificates(small_results):
+    contains = [res for _, _, res in small_results if res.contains]
+    assert contains
+    for res in contains:
+        assert res.obstruction_name == res.certificate.obstruction_name
