@@ -10,7 +10,11 @@ orbit of the target once and comparing canonical forms.  So a node on
 |h| + 1 vertices canonicalises only the reductions with the degree
 sequence of an orbit form (no other can be in the orbit) and stops at the
 first in the orbit.  The search runs on canonical forms throughout, so it
-does not depend on how the input is labelled.
+does not depend on how the input is labelled.  Above that level it tries
+the children of a node richest first, by descending degree sequence, as a
+heuristic: a search that answers TRUE stops at its first TRUE child, and
+a child that keeps high degrees has the most left to hold the target.  A
+search that answers FALSE visits every child whatever the order.
 
 The target's pivot orbit is the only resource limit.  Whether it fits
 under the orbit limit is decided once, before the search: INCONCLUSIVE
@@ -26,7 +30,6 @@ from collections.abc import Iterator
 
 from .canon import cache_insert, canonical_form
 from .graphs import Graph, contract_pivot, delete_vertex, pivot
-from .io import to_graph6
 
 DEFAULT_ORBIT_LIMIT = 1 << 20
 
@@ -96,9 +99,9 @@ class PivotMinorCache:
     Every key and value is a canonical form (see canon.canonical_form).
     verdicts maps (g form, h form) to a bool; children maps a form to the
     forms of all its one-vertex reductions (deletions and contract-pivots),
-    in ascending graph6 order, but gets no entry from a node on |h| + 1
-    vertices; target_orbits maps a form to its labelled pivot-orbit size,
-    the forms in that orbit and their degree sequences, or, when the
+    richest first (see child_keys), but gets no entry from a node on
+    |h| + 1 vertices; target_orbits maps a form to its labelled pivot-orbit
+    size, the forms in that orbit and their degree sequences, or, when the
     enumeration blew the limit, to the largest limit that failed so a
     later call with a higher limit retries.  Each table is bounded by
     canon.CACHE_CAP, and a refused insert warns (see canon.cache_insert).
@@ -112,13 +115,18 @@ class PivotMinorCache:
         self.misses = 0
 
     def child_keys(self, g: Graph) -> tuple[Graph, ...]:
-        """The reductions of the canonical form g, in ascending graph6
-        order.  The search stops at the first TRUE child, so this order
-        sets how much of it is explored."""
+        """The reductions of the canonical form g, richest first: by
+        degree sequence in descending order, largest first, then by rows.
+
+        The search stops at the first TRUE child, so this order sets how
+        much of a TRUE search is explored; it does not depend on the
+        target.  A form lists its vertices by ascending degree
+        (canon.cell_keys), so its reversed rows give the sequence."""
         kids = self.children.get(g)
         if kids is None:
             forms = {canonical_form(r) for r in _reductions(g)}
-            kids = tuple(sorted(forms, key=to_graph6))
+            kids = tuple(sorted(forms, key=lambda f: (
+                tuple(-r.bit_count() for r in reversed(f.rows)), f.rows)))
             cache_insert(self.children, g, kids)
         return kids
 

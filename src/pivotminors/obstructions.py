@@ -91,6 +91,8 @@ def mine(
     """
     if h.n == 0:
         raise ValueError("the empty target is a pivot-minor of everything")
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got n_max = {n_max}")
     if n_max > CANON_MAX_VERTICES:
         raise ValueError(
             f"mining is capped at CANON_MAX_VERTICES = {CANON_MAX_VERTICES} "

@@ -369,6 +369,14 @@ def test_empty_graph_input_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_mine_negative_depth_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "mine", "--h", "C3", "--nmax", "-1",
+                         "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "n_max" in err, err
+
+
 def test_contains_orbit_limit_counts_the_start_member(capsys, monkeypatch):
     # a cold cache, so the target's orbit is enumerated under the limit
     monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())

@@ -155,6 +155,32 @@ def test_last_level_canonicalises_only_screened_reductions(monkeypatch):
     assert all(g.n != star.n + 1 for g in cache.children)
 
 
+def labelled_reduction_forms(g):
+    """The forms of all 2n labelled one-vertex reductions of g: delete v,
+    and pivot v with its first neighbour, then delete v (an isolated v
+    contracts to its deletion)."""
+    forms = set()
+    for v in range(g.n):
+        forms.add(canonical_form(delete_vertex(g, v)))
+        nbrs = g.neighbors(v)
+        contracted = pivot(g, v, nbrs[0]) if nbrs else g
+        forms.add(canonical_form(delete_vertex(contracted, v)))
+    return forms
+
+
+def test_child_keys_are_the_reductions_richest_first():
+    cache = PivotMinorCache()
+    for n in range(1, 8):
+        for g in generate_all_graphs(n):
+            kids = cache.child_keys(g)
+            assert len(kids) == len(set(kids))
+            assert set(kids) == labelled_reduction_forms(g), canonical_key(g)
+            seqs = [tuple(sorted((r.bit_count() for r in k.rows), reverse=True))
+                    for k in kids]
+            assert all(a >= b for a, b in zip(seqs, seqs[1:])), \
+                canonical_key(g)
+
+
 def test_containment_is_monotone_under_extension(cache):
     # adding a vertex can only add pivot-minors
     rng = random.Random(15)

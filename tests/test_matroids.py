@@ -12,6 +12,7 @@ from pivotminors import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    from_graph6,
     fundamental_graph,
     generate_all_graphs,
     is_bipartite,
@@ -189,3 +190,29 @@ def test_reduction_roundtrip_petersen_is_false():
     assert report["hamiltonian"] is False
     assert report["sides_agree"] is True
     assert report["notes"] == []
+
+
+# every connected cubic graph on 4, 6, 8 and 10 vertices (1 + 2 + 5 + 19),
+# in canonical graph6, except the Petersen graph (I?LRCecq?), which the
+# test above runs; I?CxuB@w? is the other one that is not Hamiltonian
+CUBIC_UP_TO_10 = """
+C~ EFz_ ELv_ G?]uf? G@NMf? G@Umf? G@UuV? G@]uEC
+I??xuROw? I??ytROw? I?CX]b_w? I?CZLROw? I?ChmROw? I?CilROw? I?CilbGw?
+I?CitJOw? I?CitbCw? I?CjdbCq? I?CxuB@w? I?CytB@w? I?CzDFGs? I?CzDRAs?
+I?KqlR?oG I?KydF?oG I?LRCegp? I?LRCigo_
+""".split()
+
+
+def test_reduction_roundtrip_agrees_on_cubic_graphs_up_to_10():
+    # a fresh cache per graph, so each query runs whole; a TRUE side stops
+    # at its first TRUE child, and trying children richest first keeps the
+    # 25 Hamiltonian searches near 200 nodes in all
+    assert len(CUBIC_UP_TO_10) == 26
+    explored = 0
+    for g6 in CUBIC_UP_TO_10:
+        cache = PivotMinorCache()
+        report = reduction_roundtrip(from_graph6(g6), cache=cache)
+        assert report["sides_agree"] is True, g6
+        if report["hamiltonian"]:
+            explored += len(cache.children)
+    assert explored <= 300

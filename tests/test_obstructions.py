@@ -99,6 +99,11 @@ def test_mine_rejects_empty_target(cache):
         mine(Graph(0), 3, cache=cache)
 
 
+def test_mine_rejects_a_negative_depth(cache):
+    with pytest.raises(ValueError, match="n_max"):
+        mine(named_graph("C3"), -1, cache=cache)
+
+
 def test_mine_names_the_canon_cap(cache):
     with pytest.raises(ValueError, match="CANON_MAX_VERTICES"):
         mine(Graph(3), CANON_MAX_VERTICES + 1, cache=cache)
