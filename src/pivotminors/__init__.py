@@ -41,7 +41,7 @@ from .certificates import (
     verify_certificate,
 )
 from .containment import (
-    DEFAULT_ORBIT_LIMIT,
+    ORBIT_LIMIT,
     OrbitLimitError,
     PivotMinorCache,
     Verdict,
@@ -70,7 +70,7 @@ from .io import (
     from_edgelist,
     from_graph6,
     parse_graph_text,
-    read_graph6_lines,
+    read_graphs,
     to_edgelist,
     to_graph6,
 )

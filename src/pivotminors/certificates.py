@@ -23,9 +23,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import containment
 from .canon import canonical_form, isomorphism
 from .containment import (
-    DEFAULT_ORBIT_LIMIT,
     OrbitLimitError,
     PivotMinorCache,
     Verdict,
@@ -119,18 +119,18 @@ def find_pivot_minor_sequence(
     h: Graph,
     *,
     cache: PivotMinorCache | None = None,
-    orbit_limit: int = DEFAULT_ORBIT_LIMIT,
 ) -> tuple[list[Step], list[int]] | None:
     """A step list carrying g onto an isomorphic copy of h, plus the final
     bijection (result vertex -> h vertex).
 
     Returns None when h is not a pivot-minor of g; raises OrbitLimitError
-    when the answer is out of reach of the orbit limit.  Replays of the
-    result are validated by the caller's tests rather than trusted.
+    when h's pivot orbit has more than containment.ORBIT_LIMIT members.
+    Replays of the result are validated by the caller's tests rather than
+    trusted.
     """
-    verdict = contains_pivot_minor(g, h, cache=cache, orbit_limit=orbit_limit)
+    verdict = contains_pivot_minor(g, h, cache=cache)
     if verdict is Verdict.INCONCLUSIVE:
-        raise OrbitLimitError(orbit_limit)
+        raise OrbitLimitError(containment.ORBIT_LIMIT)
     if verdict is Verdict.FALSE:
         return None
 
@@ -139,8 +139,7 @@ def find_pivot_minor_sequence(
     # peel one vertex at a time, preferring plain deletion
     while cur.n > h.n:
         found = next(((peel, r) for peel, r in _reductions_with_steps(cur)
-                      if contains_pivot_minor(r, h, cache=cache,
-                                              orbit_limit=orbit_limit)), None)
+                      if contains_pivot_minor(r, h, cache=cache)), None)
         if found is None:
             raise AssertionError("containment held but no reduction worked")
         peel, cur = found
@@ -148,7 +147,7 @@ def find_pivot_minor_sequence(
 
     # same order: walk the pivot orbit of cur to an isomorphic copy of h
     fh = canonical_form(h)
-    links = pivot_orbit(cur, limit=orbit_limit)
+    links = pivot_orbit(cur)
     found = next((x for x in links if canonical_form(x) == fh), None)
     if found is None:
         raise AssertionError("containment held but the orbit missed h")

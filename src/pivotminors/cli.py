@@ -20,15 +20,10 @@ from . import __version__
 from .canon import canonical_key
 from .catalog import is_named_graph, named_graph
 from .certificates import Certificate, find_pivot_minor_sequence, steps_to_json, verify_certificate
-from .containment import (
-    DEFAULT_ORBIT_LIMIT,
-    OrbitLimitError,
-    contains_pivot_minor,
-    pivot_orbit,
-)
+from .containment import OrbitLimitError, contains_pivot_minor, pivot_orbit
 from .generate import generate_all_graphs
 from .graphs import Graph, pivot
-from .io import parse_graph_text, to_edgelist, to_graph6
+from .io import parse_graph_text, read_graphs, to_edgelist, to_graph6
 from .matroids import reduction_roundtrip
 from .obstructions import (
     BOUND_FAMILIES,
@@ -99,7 +94,7 @@ def _cmd_pivot(args) -> int:
 def _cmd_orbit(args) -> int:
     g = load_graph_arg(args.input)
     try:
-        orbit = pivot_orbit(g, limit=args.limit)
+        orbit = pivot_orbit(g)
     except OrbitLimitError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -121,7 +116,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_contains(args) -> int:
     g = load_graph_arg(args.g)
     h = load_graph_arg(args.h)
-    verdict = contains_pivot_minor(g, h, orbit_limit=args.limit)
+    verdict = contains_pivot_minor(g, h)
     if args.json:
         _emit_json({
             "inputs": {"g": _graph_meta(g), "h": _graph_meta(h)},
@@ -136,7 +131,7 @@ def _cmd_sequence(args) -> int:
     g = load_graph_arg(args.g)
     h = load_graph_arg(args.h)
     try:
-        found = find_pivot_minor_sequence(g, h, orbit_limit=args.limit)
+        found = find_pivot_minor_sequence(g, h)
     except OrbitLimitError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -309,14 +304,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    text = Path(args.input).read_text() if Path(args.input).exists() else None
-    graphs = []
-    if text is not None:
-        for line in text.splitlines():
-            if line.strip():
-                graphs.append(parse_graph_text(line))
-    else:
-        graphs.append(load_graph_arg(args.input))
+    path = Path(args.input)
+    graphs = (read_graphs(path.read_text()) if path.exists()
+              else [load_graph_arg(args.input)])
     reports = [reduction_roundtrip(g) for g in graphs]
     payload = {"reports": reports}
     if args.report:
@@ -356,21 +346,18 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("orbit", help="enumerate the pivot orbit")
     sp.add_argument("--in", dest="input", required=True)
-    sp.add_argument("--limit", type=int, default=DEFAULT_ORBIT_LIMIT)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_orbit)
 
     sp = sub.add_parser("contains", help="pivot-minor containment verdict")
     sp.add_argument("--g", required=True, help="host graph")
     sp.add_argument("--h", required=True, help="target graph")
-    sp.add_argument("--limit", type=int, default=DEFAULT_ORBIT_LIMIT)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_contains)
 
     sp = sub.add_parser("sequence", help="find an explicit pivot-minor sequence")
     sp.add_argument("--g", required=True)
     sp.add_argument("--h", required=True)
-    sp.add_argument("--limit", type=int, default=DEFAULT_ORBIT_LIMIT)
     sp.set_defaults(fn=_cmd_sequence)
 
     sp = sub.add_parser("mine", help="mine minimal obstructions up to an order")
@@ -423,7 +410,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("reduce", help="Hamiltonicity reduction round trip")
     sp.add_argument("--in", dest="input", required=True,
-                    help="cubic graph(s): file may hold one graph per line")
+                    help="cubic graph(s): a file may hold one edge list "
+                         "or one graph6 per line")
     sp.add_argument("--report", help="write the JSON report here")
     sp.set_defaults(fn=_cmd_reduce)
 

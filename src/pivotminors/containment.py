@@ -16,10 +16,16 @@ heuristic: a search that answers TRUE stops at its first TRUE child, and
 a child that keeps high degrees has the most left to hold the target.  A
 search that answers FALSE visits every child whatever the order.
 
-The target's pivot orbit is the only resource limit.  Whether it fits
-under the orbit limit is decided once, before the search: INCONCLUSIVE
-means exactly that it does not.  Otherwise the search is exact and
-answers TRUE or FALSE; a limit never shows up as a silent false.
+The target's pivot orbit is the only resource limit.  Pivoting an edge
+is a principal pivot transform of the adjacency matrix over GF(2), so
+every labelled member of the orbit of an n-vertex graph is g * X for an
+even vertex set X with A[X] nonsingular: at most 2^(n-1) members.  The
+limit, ORBIT_LIMIT = 2^20, therefore binds only on graphs of 22 or more
+vertices, which canonical_form refuses anyway; it guards pivot_orbit,
+which takes any graph.  Whether the target's orbit fits is decided once,
+before the search: INCONCLUSIVE means exactly that it does not.
+Otherwise the search is exact and answers TRUE or FALSE; the limit never
+shows up as a silent false.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from collections.abc import Iterator
 from .canon import cache_insert, canonical_form
 from .graphs import Graph, contract_pivot, delete_vertex, pivot
 
-DEFAULT_ORBIT_LIMIT = 1 << 20
+# labelled orbit members of an n-vertex graph number at most 2^(n-1)
+# (see the module docstring), so this binds only from 22 vertices on
+ORBIT_LIMIT = 1 << 20
 
 
 class OrbitLimitError(RuntimeError):
@@ -57,29 +65,28 @@ class Verdict(enum.Enum):
         return self is not Verdict.INCONCLUSIVE
 
 
-def pivot_orbit(
-    g: Graph, *, limit: int = DEFAULT_ORBIT_LIMIT
-) -> dict[Graph, tuple[Graph, int, int] | None]:
+def pivot_orbit(g: Graph) -> dict[Graph, tuple[Graph, int, int] | None]:
     """All labelled graphs reachable from g by pivots (g included), in
     breadth-first discovery order.
 
     Each member maps to its BFS parent link (parent, u, v), meaning the
     member is pivot(parent, u, v); g itself maps to None.  Raises
-    OrbitLimitError once more than `limit` members appear, g included,
-    rather than silently truncating.
+    OrbitLimitError once more than ORBIT_LIMIT members appear, g
+    included, rather than silently truncating.
     """
-    if limit < 1:
-        raise OrbitLimitError(limit)
+    limit = ORBIT_LIMIT
     links: dict[Graph, tuple[Graph, int, int] | None] = {g: None}
     queue = deque([g])
     while queue:
+        # each member is queued when it joins, so every count is checked,
+        # g's alone too
+        if len(links) > limit:
+            raise OrbitLimitError(limit)
         cur = queue.popleft()
         for u, v in cur.edges():
             nxt = pivot(cur, u, v)
             if nxt not in links:
                 links[nxt] = (cur, u, v)
-                if len(links) > limit:
-                    raise OrbitLimitError(limit)
                 queue.append(nxt)
     return links
 
@@ -100,17 +107,16 @@ class PivotMinorCache:
     verdicts maps (g form, h form) to a bool; children maps a form to the
     forms of all its one-vertex reductions (deletions and contract-pivots),
     richest first (see child_keys), but gets no entry from a node on
-    |h| + 1 vertices; target_orbits maps a form to its labelled pivot-orbit
-    size, the forms in that orbit and their degree sequences, or, when the
-    enumeration blew the limit, to the largest limit that failed so a
-    later call with a higher limit retries.  Each table is bounded by
+    |h| + 1 vertices; target_orbits maps a form to the forms in its pivot
+    orbit and their degree sequences, or to None when the orbit has more
+    than ORBIT_LIMIT labelled members.  Each table is bounded by
     canon.CACHE_CAP, and a refused insert warns (see canon.cache_insert).
     """
 
     def __init__(self):
         self.verdicts: dict[tuple[Graph, Graph], bool] = {}
         self.children: dict[Graph, tuple[Graph, ...]] = {}
-        self.target_orbits: dict[Graph, tuple[int, frozenset, frozenset] | int] = {}
+        self.target_orbits: dict[Graph, tuple[frozenset, frozenset] | None] = {}
         self.hits = 0
         self.misses = 0
 
@@ -131,27 +137,22 @@ class PivotMinorCache:
         return kids
 
     def target_orbit_keys(
-        self, h: Graph, limit: int
+        self, h: Graph
     ) -> tuple[frozenset[Graph], frozenset] | None:
         """The forms in the pivot orbit of the canonical form h and their
-        degree sequences, or None when the orbit has more than limit
-        labelled members.  The answer depends on limit alone, not on what
-        earlier calls stored."""
-        cached = self.target_orbits.get(h)
-        if isinstance(cached, tuple):
-            size, forms, degrees = cached
-            return (forms, degrees) if size <= limit else None
-        if cached is not None and limit <= cached:
-            return None
+        degree sequences, or None when the orbit has more than
+        ORBIT_LIMIT labelled members."""
+        if h in self.target_orbits:
+            return self.target_orbits[h]
         try:
-            orbit = pivot_orbit(h, limit=limit)
+            orbit = pivot_orbit(h)
         except OrbitLimitError:
-            cache_insert(self.target_orbits, h, limit)
+            cache_insert(self.target_orbits, h, None)
             return None
         forms = frozenset(map(canonical_form, orbit))
-        degrees = frozenset(f.degree_sequence() for f in forms)
-        cache_insert(self.target_orbits, h, (len(orbit), forms, degrees))
-        return forms, degrees
+        target = forms, frozenset(f.degree_sequence() for f in forms)
+        cache_insert(self.target_orbits, h, target)
+        return target
 
     def clear(self) -> None:
         self.verdicts.clear()
@@ -165,15 +166,11 @@ DEFAULT_CACHE = PivotMinorCache()
 
 
 def contains_pivot_minor(
-    g: Graph,
-    h: Graph,
-    *,
-    cache: PivotMinorCache | None = None,
-    orbit_limit: int = DEFAULT_ORBIT_LIMIT,
+    g: Graph, h: Graph, *, cache: PivotMinorCache | None = None
 ) -> Verdict:
     """Does g contain h as a pivot-minor?
 
-    INCONCLUSIVE exactly when h's pivot orbit has more than orbit_limit
+    INCONCLUSIVE exactly when h's pivot orbit has more than ORBIT_LIMIT
     labelled members; below that check the search is exact."""
     if cache is None:
         cache = DEFAULT_CACHE
@@ -182,7 +179,7 @@ def contains_pivot_minor(
     if g.n < h.n:
         return Verdict.FALSE
     th = canonical_form(h)
-    target = cache.target_orbit_keys(th, orbit_limit)
+    target = cache.target_orbit_keys(th)
     if target is None:
         return Verdict.INCONCLUSIVE
     orbit, degrees = target
@@ -208,16 +205,14 @@ def contains_pivot_minor(
     return Verdict.TRUE if rec(canonical_form(g)) else Verdict.FALSE
 
 
-def pivot_equivalent(
-    g: Graph, h: Graph, *, orbit_limit: int = DEFAULT_ORBIT_LIMIT
-) -> bool:
+def pivot_equivalent(g: Graph, h: Graph) -> bool:
     """Is g reachable from h by pivots, up to relabelling?
 
-    Reads h's orbit through DEFAULT_CACHE; raises OrbitLimitError when
-    the orbit has more than orbit_limit members."""
+    Containment at equal order, through DEFAULT_CACHE; raises
+    OrbitLimitError when h's orbit has more than ORBIT_LIMIT members."""
     if g.n != h.n:
         return False
-    target = DEFAULT_CACHE.target_orbit_keys(canonical_form(h), orbit_limit)
-    if target is None:
-        raise OrbitLimitError(orbit_limit)
-    return canonical_form(g) in target[0]
+    verdict = contains_pivot_minor(g, h)
+    if verdict is Verdict.INCONCLUSIVE:
+        raise OrbitLimitError(ORBIT_LIMIT)
+    return bool(verdict)

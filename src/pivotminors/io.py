@@ -83,11 +83,6 @@ def from_graph6(text: str) -> Graph:
     return Graph._make(n, tuple(rows))
 
 
-def read_graph6_lines(text: str) -> list[Graph]:
-    """Decode one graph per non-empty line."""
-    return [from_graph6(line) for line in text.splitlines() if line.strip()]
-
-
 def to_edgelist(g: Graph) -> str:
     lines = [f"{g.n} {g.num_edges}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
@@ -119,12 +114,21 @@ def from_edgelist(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def parse_graph_text(text: str) -> Graph:
-    """Sniff the format: an "n m" header means edge list, else graph6."""
-    stripped = text.strip()
-    if not stripped:
+def read_graphs(text: str) -> list[Graph]:
+    """Every graph in a text, sniffing the format: an "n m" header means
+    one edge list, otherwise one graph6 string per non-empty line."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         raise ValueError("empty graph input")
-    first = stripped.splitlines()[0].split()
+    first = lines[0].split()
     if len(first) == 2 and all(t.isdigit() for t in first):
-        return from_edgelist(text)
-    return from_graph6(stripped.splitlines()[0])
+        return [from_edgelist(text)]
+    return [from_graph6(line) for line in lines]
+
+
+def parse_graph_text(text: str) -> Graph:
+    """The one graph in a text (see read_graphs)."""
+    graphs = read_graphs(text)
+    if len(graphs) > 1:
+        raise ValueError(f"expected one graph, the input holds {len(graphs)}")
+    return graphs[0]

@@ -19,12 +19,7 @@ from pathlib import Path
 
 from .canon import CANON_MAX_VERTICES, canonical_form, canonical_key
 from .catalog import complete_multipartite, cycle_graph, path_graph, star_graph
-from .containment import (
-    DEFAULT_ORBIT_LIMIT,
-    PivotMinorCache,
-    Verdict,
-    contains_pivot_minor,
-)
+from .containment import PivotMinorCache, Verdict, contains_pivot_minor
 from .generate import class_order, extend_by_one_vertex
 from .graphs import Graph, contract_pivot, delete_vertex, disjoint_union
 from .io import from_graph6, to_graph6
@@ -83,9 +78,11 @@ def mine(
     the order below settles by lookup.  Members and inconclusive graphs
     come out in generate_all_graphs order, smallest order first.
 
-    The target's pivot orbit is the only resource limit on the way: when
-    it has more than DEFAULT_ORBIT_LIMIT members, no graph on |h| or more
-    vertices can be decided, and every one of them is reported in
+    The target's pivot orbit is the only resource limit on the way.  It
+    always fits for n_max <= CANON_MAX_VERTICES (16): an orbit on n
+    vertices has at most 2^(n-1) labelled members, far below
+    containment.ORBIT_LIMIT.  Were it blown, no graph on |h| or more
+    vertices could be decided, and every one of them would be reported in
     `inconclusive`.  `cache` serves only that orbit; no containment query
     is made.
     """
@@ -103,7 +100,7 @@ def mine(
     th = canonical_form(h)
     target = None
     if n_max >= th.n:
-        target = cache.target_orbit_keys(th, DEFAULT_ORBIT_LIMIT)
+        target = cache.target_orbit_keys(th)
     orbit = None if target is None else target[0]
     members: list[Graph] = []
     unresolved: list[Graph] = []

@@ -208,6 +208,8 @@ def test_isomorphism_returns_a_real_mapping():
             for v in range(u + 1, n):
                 assert g.has_edge(u, v) == h.has_edge(phi[u], phi[v])
     assert isomorphism(named_graph("C5"), named_graph("P5")) is None
+    # both are 2-regular on 6 vertices; only connectivity tells them apart
+    assert isomorphism(named_graph("C6"), named_graph("2C3")) is None
 
 
 # the induced patterns the recognizers search for

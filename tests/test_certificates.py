@@ -9,16 +9,21 @@ from pivotminors import (
     Certificate,
     DeleteVertex,
     Graph,
+    OrbitLimitError,
     PivotEdge,
+    PivotMinorCache,
     apply_sequence,
     build_certificate,
+    cycle_graph,
     find_pivot_minor_sequence,
     generate_all_graphs,
     induced_subgraph,
     is_isomorphic,
     named_graph,
+    recognize,
     verify_certificate,
 )
+from pivotminors import containment
 from pivotminors.certificates import SequenceError, steps_from_json, steps_to_json
 
 
@@ -81,6 +86,14 @@ def test_sequence_exists_iff_contained(cache):
     for g in hosts:
         found = find_pivot_minor_sequence(g, h, cache=cache)
         assert (found is not None) == bool(contains_pivot_minor(g, h, cache=cache))
+
+
+def test_find_sequence_names_the_orbit_limit(monkeypatch):
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
+    with pytest.raises(OrbitLimitError) as err:
+        find_pivot_minor_sequence(named_graph("C5"), named_graph("P4"),
+                                  cache=PivotMinorCache())
+    assert err.value.limit == 1
 
 
 def make_cert(cache):
@@ -202,3 +215,23 @@ def test_verifier_names_the_malformed_step(cache, bad, reason):
     assert not outcome.ok
     assert outcome.step == 1
     assert reason in outcome.reason
+
+
+@pytest.mark.parametrize("field, tamper, reason", [
+    ("vertices", lambda vs: (7,) + vs[1:],
+     "vertex subset is not a set of input vertices"),
+    ("steps", lambda steps: steps + (DeleteVertex(0),),
+     "replay ends with 3 vertices, target has 4"),
+    # 2P2 is the edges 01 and 23, so swapping 1 and 2 is no automorphism
+    ("target_map", lambda phi: (phi[0], phi[2], phi[1], phi[3]),
+     "map breaks the pair (0, 1)"),
+])
+def test_verifier_rejects_a_tampered_field(field, tamper, reason):
+    # the quick tour's certificate: C7 contains 2P2 on four vertices
+    c7, target = cycle_graph(7), named_graph("2P2")
+    cert = recognize(c7, "2P2").certificate
+    assert verify_certificate(c7, cert, target).ok
+    tampered = dataclasses.replace(cert, **{field: tamper(getattr(cert, field))})
+    outcome = verify_certificate(c7, tampered, target)
+    assert not outcome.ok
+    assert outcome.reason == reason

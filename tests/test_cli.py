@@ -11,6 +11,7 @@ from pivotminors import (
     complete_multipartite,
     named_graph,
     pivot,
+    to_edgelist,
     to_graph6,
 )
 from pivotminors import cli, containment
@@ -38,11 +39,23 @@ def test_contains_false_json(capsys):
     assert data["inputs"]["g"]["n"] == 4
 
 
-def test_contains_inconclusive_exit(capsys):
-    code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C5",
-                       "--limit", "1")
+def test_contains_inconclusive_exit(capsys, monkeypatch):
+    # a cold cache, so the target's orbit is enumerated under the limit
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
+    code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C5")
     assert code == EXIT_INCONCLUSIVE
     assert out.strip() == "inconclusive"
+
+
+@pytest.mark.parametrize("command", ["orbit", "contains", "sequence"])
+def test_no_subcommand_takes_an_orbit_limit(capsys, command):
+    graphs = (["--in", "C5"] if command == "orbit"
+              else ["--g", "C5", "--h", "C3"])
+    code, out, err = run(capsys, command, *graphs, "--limit", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--limit" in err
 
 
 def test_pivot_command(capsys):
@@ -380,7 +393,26 @@ def test_mine_negative_depth_is_a_usage_error(capsys):
 def test_contains_orbit_limit_counts_the_start_member(capsys, monkeypatch):
     # a cold cache, so the target's orbit is enumerated under the limit
     monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
-    code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C3",
-                       "--limit", "0")
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 0)
+    code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C3")
     assert code == EXIT_INCONCLUSIVE
     assert out.strip() == "inconclusive"
+
+
+def test_a_file_of_two_graphs_is_not_one_graph(tmp_path, capsys):
+    two = tmp_path / "two.g6"
+    two.write_text(f"{to_graph6(named_graph('C5'))}\n"
+                   f"{to_graph6(named_graph('C4'))}\n")
+    code, out, err = run(capsys, "contains", "--g", str(two), "--h", "C3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "holds 2" in err, err
+
+
+def test_reduce_reads_an_edge_list_file(tmp_path, capsys):
+    k33 = tmp_path / "k33.txt"
+    k33.write_text(to_edgelist(complete_multipartite([3, 3])))
+    code, out, err = run(capsys, "reduce", "--in", str(k33))
+    assert code == EXIT_OK, err
+    (report,) = json.loads(out)["reports"]
+    assert report["n"] == 6 and report["sides_agree"] is True

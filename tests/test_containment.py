@@ -208,7 +208,7 @@ def test_verdict_semantics():
     assert not Verdict.INCONCLUSIVE.definite
 
 
-def test_pivot_orbit_basics():
+def test_pivot_orbit_basics(monkeypatch):
     lone = Graph(3)
     assert set(pivot_orbit(lone)) == {lone}
     orbit = pivot_orbit(named_graph("C5"))
@@ -222,42 +222,24 @@ def test_pivot_orbit_basics():
         else:
             parent, u, v = link
             assert pivot(parent, u, v) == member
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
     with pytest.raises(OrbitLimitError) as err:
-        pivot_orbit(named_graph("C5"), limit=1)
+        pivot_orbit(named_graph("C5"))
     assert err.value.limit == 1
 
 
-def test_orbit_limit_gives_inconclusive_then_retries():
-    cache = PivotMinorCache()
-    g = named_graph("C5")
-    first = contains_pivot_minor(g, g, cache=cache, orbit_limit=1)
-    assert first is Verdict.INCONCLUSIVE
-    # a later call with a workable limit must not be poisoned by the miss
-    second = contains_pivot_minor(g, g, cache=cache)
-    assert second is Verdict.TRUE
-
-
-def test_inconclusive_propagates_without_caching():
-    cache = PivotMinorCache()
+def test_inconclusive_propagates_without_caching(monkeypatch):
     g = disjoint_union(named_graph("C5"), Graph(1))
-    verdict = contains_pivot_minor(g, named_graph("C5"), cache=cache,
-                                   orbit_limit=1)
-    assert verdict is Verdict.INCONCLUSIVE
-    key = canonical_form(g)
-    kh = canonical_form(named_graph("C5"))
-    assert (key, kh) not in cache.verdicts
-    assert bool(contains_pivot_minor(g, named_graph("C5"), cache=cache))
-
-
-def test_orbit_limit_holds_on_a_warm_cache(monkeypatch):
-    # an orbit stored by an earlier call must not answer a lower limit
-    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
     c5 = named_graph("C5")
-    assert contains_pivot_minor(c5, c5) is Verdict.TRUE
-    assert contains_pivot_minor(c5, c5, orbit_limit=1) is Verdict.INCONCLUSIVE
-    assert pivot_equivalent(c5, pivot(c5, 0, 1))
-    with pytest.raises(OrbitLimitError):
-        pivot_equivalent(c5, pivot(c5, 0, 1), orbit_limit=1)
+    cache = PivotMinorCache()
+    with monkeypatch.context() as patch:
+        patch.setattr(containment, "ORBIT_LIMIT", 1)
+        verdict = contains_pivot_minor(g, c5, cache=cache)
+    assert verdict is Verdict.INCONCLUSIVE
+    assert not cache.verdicts and not cache.children
+    # the limit is one constant, so the cache keeps the blown orbit
+    assert contains_pivot_minor(g, c5, cache=cache) is Verdict.INCONCLUSIVE
+    assert bool(contains_pivot_minor(g, c5, cache=PivotMinorCache()))
 
 
 def test_cache_cap_zero_still_computes(monkeypatch):
@@ -290,10 +272,10 @@ def test_pivot_equivalent_names_the_orbit_limit(monkeypatch):
     # a fresh shared cache, so no orbit stored by an earlier test answers
     monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
     c5 = named_graph("C5")
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
     with pytest.raises(OrbitLimitError) as err:
-        pivot_equivalent(c5, pivot(c5, 0, 1), orbit_limit=1)
+        pivot_equivalent(c5, pivot(c5, 0, 1))
     assert err.value.limit == 1
-    assert pivot_equivalent(c5, pivot(c5, 0, 1))
 
 
 def test_pivot_equivalent_classes_share_pivot_minors(cache):
@@ -314,7 +296,25 @@ def test_pivot_equivalent_classes_share_pivot_minors(cache):
                 bool(contains_pivot_minor(p, h, cache=cache))
 
 
-def test_orbit_limit_counts_the_start_member():
+def test_orbit_limit_counts_the_start_member(monkeypatch):
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 0)
     with pytest.raises(OrbitLimitError):
-        pivot_orbit(named_graph("K3"), limit=0)
-    assert len(pivot_orbit(Graph(2), limit=1)) == 1
+        pivot_orbit(named_graph("K3"))
+    assert contains_pivot_minor(named_graph("C5"), named_graph("K3"),
+                                cache=PivotMinorCache()) is Verdict.INCONCLUSIVE
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
+    assert len(pivot_orbit(Graph(2))) == 1
+
+
+@pytest.mark.parametrize("name", ["C16", "P16", "W15"])
+def test_pivot_orbit_fits_the_gf2_bound_at_the_canon_cap(name):
+    # members are g * X for even X with A[X] nonsingular: at most 2^(n-1)
+    g = named_graph(name)
+    assert g.n == canon.CANON_MAX_VERTICES
+    assert len(pivot_orbit(g)) <= 2 ** (g.n - 1) < containment.ORBIT_LIMIT
+
+
+def test_pivot_orbit_fits_the_gf2_bound_on_every_small_class():
+    for n in range(8):
+        for g in generate_all_graphs(n):
+            assert len(pivot_orbit(g)) <= 2 ** max(n - 1, 0), canonical_key(g)

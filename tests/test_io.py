@@ -9,7 +9,7 @@ from pivotminors import (
     from_edgelist,
     from_graph6,
     parse_graph_text,
-    read_graph6_lines,
+    read_graphs,
     to_edgelist,
     to_graph6,
 )
@@ -70,11 +70,21 @@ def test_graph6_rejects_malformed_input():
         from_graph6("Bh")  # nonzero padding bits
 
 
-def test_read_graph6_lines():
+def test_read_graphs_takes_one_graph6_per_line():
     text = "Bg\n\nBw\n"
-    graphs = read_graph6_lines(text)
+    graphs = read_graphs(text)
     assert len(graphs) == 2
     assert graphs[1] == Graph(3, [(0, 1), (0, 2), (1, 2)])
+
+
+def test_read_graphs_takes_an_edge_list_as_one_graph():
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    assert read_graphs(to_edgelist(k33)) == [k33]
+
+
+def test_parse_graph_text_names_the_count_of_several_graphs():
+    with pytest.raises(ValueError, match="holds 2"):
+        parse_graph_text("Bg\nBw\n")
 
 
 def test_edgelist_roundtrip():
