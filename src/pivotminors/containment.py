@@ -6,12 +6,24 @@ with |g| > |h| exactly when, for some vertex v, h is a pivot-minor of
 g - v or of g / v (pivot v with a neighbour, then delete v; any neighbour
 gives a pivot-equivalent result).  At |g| == |h| the question degenerates
 to pivot equivalence up to isomorphism, settled by enumerating the pivot
-orbit of the target once and comparing canonical forms.  So a node on
-|h| + 1 vertices canonicalises only the reductions with the degree
-sequence of an orbit form (no other can be in the orbit) and stops at the
-first in the orbit.  The search runs on canonical forms throughout, so it
-does not depend on how the input is labelled.  Above that level it tries
-the children of a node richest first, by descending degree sequence, as a
+orbit of the target once and comparing canonical forms.
+
+The last two levels are settled on labelled graphs.  A graph on |h| + 1
+vertices (_settle_last) computes the edge count and degree sequence of
+each reduction from its rows, and builds and canonicalises only those
+that match an orbit form (no other can be in the orbit), stopping at the
+first in the orbit.  A node on |h| + 2 vertices hands each of its
+labelled reductions to _settle_last, so none of them is canonicalised or
+stored: the verdict of a graph on |h| + 1 vertices depends only on its
+isomorphism class, and its form would serve only to look that verdict up.
+The node itself still memoises its verdict.  When the cache already holds
+the node's children, stored by a query for a smaller target, it reads
+those instead, as a sweep of many hosts against one target meets the
+same classes again and again.
+
+Every node above the last level is a canonical form, so the search does
+not depend on how the input is labelled.  Above |h| + 2 it tries the
+children of a node richest first, by descending degree sequence, as a
 heuristic: a search that answers TRUE stops at its first TRUE child, and
 a child that keeps high degrees has the most left to hold the target.  A
 search that answers FALSE visits every child whatever the order.
@@ -35,7 +47,7 @@ from collections import deque
 from collections.abc import Iterator
 
 from .canon import cache_insert, canonical_form
-from .graphs import Graph, contract_pivot, delete_vertex, pivot
+from .graphs import Graph, _bits, contract_pivot, delete_vertex, pivot
 
 # labelled orbit members of an n-vertex graph number at most 2^(n-1)
 # (see the module docstring), so this binds only from 22 vertices on
@@ -100,17 +112,78 @@ def _reductions(g: Graph) -> Iterator[Graph]:
             yield contract_pivot(g, v)
 
 
+def _screened_reductions(
+    g: Graph, degrees: frozenset, sizes: frozenset
+) -> Iterator[Graph]:
+    """The reductions of g, in _reductions order, whose edge count is in
+    sizes and whose degree sequence is in degrees.
+
+    Both are computed from g's rows, and only a reduction that passes is
+    built.  A deletion lowers only v's neighbours.  contract_pivot pivots
+    v with its lowest neighbour z, which toggles the edges between z's
+    private neighbours su, v's private neighbours sv and their common
+    neighbours suv, and exchanges the rows of z and v; deleting v then
+    takes the edge to v from su, suv and z, whose degree ends at
+    d[v] - 1."""
+    rows = g.rows
+    d = [r.bit_count() for r in rows]
+    m = sum(d) >> 1
+    for v in range(g.n):
+        nb = rows[v]
+        if m - d[v] in sizes:
+            degs = d[:]
+            for u in _bits(nb):
+                degs[u] -= 1
+            del degs[v]
+            if tuple(sorted(degs)) in degrees:
+                yield delete_vertex(g, v)
+        if not nb:
+            continue
+        bv = 1 << v
+        bz = nb & -nb
+        z = bz.bit_length() - 1
+        nz = rows[z]
+        su = nz & ~nb & ~bv
+        sv = nb & ~nz & ~bz
+        suv = nz & nb
+        degs = d[:]
+        for x in _bits(su):
+            degs[x] = (rows[x] ^ (sv | suv | bz)).bit_count()
+        for y in _bits(sv):
+            degs[y] = (rows[y] ^ (su | suv | bz | bv)).bit_count()
+        for w in _bits(suv):
+            degs[w] = (rows[w] ^ (su | sv | bv)).bit_count()
+        degs[z] = d[v] - 1
+        del degs[v]
+        if sum(degs) >> 1 in sizes and tuple(sorted(degs)) in degrees:
+            yield contract_pivot(g, v)
+
+
+def _settle_last(g: Graph, orbit: frozenset, degrees: frozenset,
+                 sizes: frozenset) -> bool:
+    """Is some one-vertex reduction of the labelled graph g, on |h| + 1
+    vertices, in h's pivot orbit: its forms, their degree sequences and
+    their edge counts?  Only a reduction with an orbit form's edge count
+    and degree sequence can be in the orbit, so only those are built and
+    canonicalised; stops at the first in the orbit."""
+    return any(canonical_form(r) in orbit
+               for r in _screened_reductions(g, degrees, sizes))
+
+
 class PivotMinorCache:
     """Shared memo for containment queries.
 
     Every key and value is a canonical form (see canon.canonical_form).
     verdicts maps (g form, h form) to a bool; children maps a form to the
     forms of all its one-vertex reductions (deletions and contract-pivots),
-    richest first (see child_keys), but gets no entry from a node on
-    |h| + 1 vertices; target_orbits maps a form to the forms in its pivot
-    orbit and their degree sequences, or to None when the orbit has more
-    than ORBIT_LIMIT labelled members.  Each table is bounded by
-    canon.CACHE_CAP, and a refused insert warns (see canon.cache_insert).
+    richest first (see child_keys).  A query for h stores children only
+    for nodes on |h| + 3 or more vertices, as it settles the last two
+    levels on labelled graphs; a node on |h| + 2 vertices reads children
+    stored earlier, say by a query for a smaller target, and stores none.
+    target_orbits maps a form to the forms in its pivot orbit and their
+    degree sequences, or to None when the orbit has more than ORBIT_LIMIT
+    labelled members.  Each table is bounded by canon.CACHE_CAP, and a
+    refused insert warns (see canon.cache_insert).
     """
 
     def __init__(self):
@@ -183,6 +256,7 @@ def contains_pivot_minor(
     if target is None:
         return Verdict.INCONCLUSIVE
     orbit, degrees = target
+    sizes = frozenset(sum(s) >> 1 for s in degrees)
     verdicts = cache.verdicts
 
     def rec(cur: Graph) -> bool:
@@ -194,8 +268,11 @@ def contains_pivot_minor(
             return found
         cache.misses += 1
         if cur.n == th.n + 1:
-            found = any(r.degree_sequence() in degrees
-                        and canonical_form(r) in orbit
+            found = _settle_last(cur, orbit, degrees, sizes)
+        elif cur.n == th.n + 2 and cur not in cache.children:
+            # a verdict on |h| + 1 vertices depends only on the class, so
+            # the labelled reductions need no canonical form of their own
+            found = any(_settle_last(r, orbit, degrees, sizes)
                         for r in _reductions(cur))
         else:
             found = any(rec(kid) for kid in cache.child_keys(cur))

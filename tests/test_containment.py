@@ -116,43 +116,102 @@ def reference_contains(g, h, memo):
     return g.n >= th.n and rec(canonical_form(g))
 
 
-def test_last_level_screen_is_exact(cache):
+def test_last_level_screen_is_exact():
+    # each query twice: on a cache with no children below |h| + 3
+    # vertices, where a node on |h| + 2 settles its labelled reductions,
+    # and on a cache whose child_keys holds every class on 5 to 7
+    # vertices, where such a node reads its stored children
     memo = {}
+    labelled = {3: PivotMinorCache(), 4: PivotMinorCache()}
+    warmed = PivotMinorCache()
+    for n in (5, 6, 7):
+        for g in generate_all_graphs(n):
+            warmed.child_keys(g)
+
+    def check(g, h, label):
+        want = reference_contains(g, h, memo)
+        fresh = labelled[h.n] if h.n in labelled else PivotMinorCache()
+        assert bool(contains_pivot_minor(g, h, cache=fresh)) == want, label
+        assert bool(contains_pivot_minor(g, h, cache=warmed)) == want, label
+
     targets = list(generate_all_graphs(3)) + list(generate_all_graphs(4))
     for g in generate_all_graphs(6) + generate_all_graphs(7):
         for h in targets:
-            got = contains_pivot_minor(g, h, cache=cache)
-            assert bool(got) == reference_contains(g, h, memo), \
-                (canonical_key(g), canonical_key(h))
+            check(g, h, (canonical_key(g), canonical_key(h)))
+    assert all(g.n > h_n + 2 for h_n, c in labelled.items() for g in c.children)
     cubic = [g for n in (4, 6, 8) for g in generate_all_graphs(n)
              if g.degree_sequence() == (3,) * n and is_connected(g)]
     assert len(cubic) == 8  # K4; K3,3 and the prism; five on 8 vertices
     for g in cubic:
         fg = fundamental_graph(g).graph
-        star = star_graph(g.n - 1)
-        assert bool(contains_pivot_minor(fg, star, cache=cache)) == \
-            reference_contains(fg, star, memo), canonical_key(g)
+        check(fg, star_graph(g.n - 1), canonical_key(g))
+
+
+def test_screened_reductions_compute_degrees_from_rows():
+    # asked for one degree sequence and its edge count, the screen must
+    # yield exactly the reductions that have it, in _reductions order
+    def check(g):
+        reds = list(containment._reductions(g))
+        for seq in {r.degree_sequence() for r in reds}:
+            got = containment._screened_reductions(
+                g, frozenset([seq]), frozenset([sum(seq) // 2]))
+            assert list(got) == [r for r in reds if r.degree_sequence() == seq], \
+                (g, seq)
+
+    for n in range(1, 8):
+        for g in generate_all_graphs(n):
+            check(g)
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        check(g)
+        check(disjoint_union(Graph(rng.randint(1, 3)), g))
 
 
 def test_last_level_canonicalises_only_screened_reductions(monkeypatch):
-    # the prism's query is K1,5 in a 9-vertex fundamental graph; every
-    # 6-vertex graph canonicalised must match an orbit form's degrees
+    # the prism's query is K1,5 in a 9-vertex fundamental graph.  On a
+    # fresh cache a node on 8 vertices settles its labelled reductions:
+    # nothing on 7 vertices is canonicalised, and every 6-vertex graph
+    # canonicalised has an orbit form's degrees
     star = star_graph(5)
     degrees = {x.degree_sequence() for x in pivot_orbit(star)}
     seen = []
 
     def spy(g):
-        if g.n == star.n:
-            seen.append(g.degree_sequence())
+        seen.append(g)
         return canonical_form(g)
 
     monkeypatch.setattr(containment, "canonical_form", spy)
     cache = PivotMinorCache()
     report = reduction_roundtrip(named_graph("prism"), cache=cache)
     assert report["contains_verdict"] == "true"
-    assert seen and set(seen) <= degrees
+    last = [g.degree_sequence() for g in seen if g.n == star.n]
+    assert last and set(last) <= degrees
+    assert not [g for g in seen if g.n == star.n + 1]
     assert cache.children
-    assert all(g.n != star.n + 1 for g in cache.children)
+    assert all(g.n > star.n + 2 for g in cache.children)
+
+    # on a warm cache, a node on 8 vertices whose children are stored
+    # reads them, and its labelled reductions are not screened again
+    fg = canonical_form(fundamental_graph(named_graph("prism")).graph)
+    cache = PivotMinorCache()
+    for kid in cache.child_keys(fg):
+        cache.child_keys(kid)
+    stored = {kid for kids in cache.children.values() for kid in kids}
+    screened = []
+    screen = containment._screened_reductions
+
+    def screen_spy(g, degrees, sizes):
+        screened.append(g)
+        return screen(g, degrees, sizes)
+
+    monkeypatch.setattr(containment, "_screened_reductions", screen_spy)
+    assert contains_pivot_minor(fg, star, cache=cache) is Verdict.TRUE
+    assert screened and all(g.n == star.n + 1 and g in stored
+                            for g in screened)
 
 
 def labelled_reduction_forms(g):
