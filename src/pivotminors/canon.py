@@ -15,6 +15,12 @@ it skips, and a permutation for each other vertex order that reaches the
 minimal encoding.  canonical_labelling returns the form, the order and the
 generators; canonical_form and isomorphism use the same search.
 
+find_induced_embedding is a separate backtracking search (Ullmann/VF2
+style domains) for an induced copy of a pattern.  It borrows the search's
+twin rule: a host vertex that fails at a level takes its twins with it, so
+a clique or a multipartite class costs one try per level, not one per
+member.
+
 Forms are cached in one table in which every representative maps to
 itself, so all relabellings of a class share one Graph object.
 canonical_form also memoises its input there; canonical_labelling interns
@@ -272,6 +278,18 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
     adjacency asks.  A branch ends as soon as its domain is empty.  The
     domain's vertices are tried in ascending order, so the embedding
     returned is the first one in that order.
+
+    A candidate that fails takes its host twins out of the domain with it
+    (the twin rule of _search): host vertices a and b are twins when
+    rows[a] and rows[b] agree off {a, b}, that is, when they have equal
+    open or equal closed neighbourhoods.  Swapping a failed candidate c
+    with an unused twin is an automorphism of the host that fixes every
+    image already placed and keeps every degree, so it maps any extension
+    through the twin to one through c; the twin would fail too.  Only
+    failing candidates are skipped, so the embedding returned is still the
+    first one in ascending order.  Cliques and multipartite classes, whose
+    members are all twins, are tried once per level instead of once per
+    member.
     """
     k, n = pattern.n, host.n
     if k > n or pattern.num_edges > host.num_edges:
@@ -293,6 +311,15 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
         seen |= 1 << bestv
     hrows = host.rows
     hdeg = [r.bit_count() for r in hrows]
+    # each host vertex's twins, itself included: the class of its open
+    # neighbourhood joined with that of its closed one (a vertex with an
+    # open twin has no closed twin, and the other way round)
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    for c, r in enumerate(hrows):
+        opened[r] = opened.get(r, 0) | 1 << c
+        closed[r | 1 << c] = closed.get(r | 1 << c, 0) | 1 << c
+    twins = [opened[r] | closed[r | 1 << c] for c, r in enumerate(hrows)]
     # per level: the host vertices of high enough degree, and for each
     # earlier level whether the pattern wants an edge to it
     levels = []
@@ -317,10 +344,11 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
                 return False
         while dom:
             low = dom & -dom
-            image[i] = low.bit_length() - 1
+            c = low.bit_length() - 1
+            image[i] = c
             if dfs(i + 1, used | low):
                 return True
-            dom ^= low
+            dom &= ~twins[c]
         return False
 
     if not dfs(0, 0):

@@ -8,9 +8,15 @@ m lines "u v" with 0-based endpoints.
 
 from __future__ import annotations
 
+import base64
+
 from .graphs import MAX_VERTICES, Graph
 
 _G6_OPTIONAL_HEADER = ">>graph6<<"
+_G6_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def _g6_size_prefix(n: int) -> str:
@@ -22,21 +28,18 @@ def _g6_size_prefix(n: int) -> str:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
-    out = [_g6_size_prefix(g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        rj = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (rj >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    # column j of the upper triangle is the low j bits of row j, lowest
+    # first: format the row with a marker bit above them and reverse it.
+    # graph6's body is base64 of those bits, zero-padded, in its own
+    # alphabet, so the bytes go through b64encode and one translate.
+    rows = g.rows
+    bits = "".join([format(rows[j] & ((1 << j) - 1) | 1 << j, "b")[:0:-1]
+                    for j in range(1, g.n)])
+    nbytes = (len(bits) + 23) // 24 * 3
+    packed = int("0" + bits, 2) << (8 * nbytes - len(bits))
+    body = base64.b64encode(packed.to_bytes(nbytes, "big"))
+    body = body[:(len(bits) + 5) // 6].translate(_G6_FROM_BASE64)
+    return _g6_size_prefix(g.n) + body.decode()
 
 
 def from_graph6(text: str) -> Graph:

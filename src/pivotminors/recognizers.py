@@ -310,7 +310,9 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
     graph with leaves attached to singleton classes."""
     target_name = "2P2"
     comps = connected_components(g)
-    edged = [c for c in comps if induced_subgraph(g, c).num_edges > 0]
+    # a connected component has an edge exactly when it has two vertices
+    # or more
+    edged = [c for c in comps if len(c) > 1]
     if len(edged) >= 2:
         (u1, v1) = next(iter(induced_subgraph(g, edged[0]).edges()))
         (u2, v2) = next(iter(induced_subgraph(g, edged[1]).edges()))

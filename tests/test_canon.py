@@ -10,6 +10,10 @@ from pivotminors import (
     Graph,
     canonical_form,
     canonical_key,
+    clique_star,
+    complete_graph,
+    complete_multipartite,
+    disjoint_union,
     find_induced_embedding,
     has_induced,
     induced_subgraph,
@@ -267,6 +271,93 @@ def test_has_induced_matches_brute_force():
     for host in hosts:
         for pat, rel in zip(pats, relabellings):
             assert has_induced(pat, host) == brute_has_induced(pat, rel, host)
+
+
+def embedding_without_twin_rule(pattern, host):
+    """find_induced_embedding as it was before the twin rule: the same
+    vertex order and domains, every domain vertex tried in turn."""
+    k, n = pattern.n, host.n
+    if k > n or pattern.num_edges > host.num_edges:
+        return None
+    order, seen = [], 0
+    while len(order) < k:
+        free = [v for v in range(k) if not seen >> v & 1]
+        # the first vertex of the largest (anchored, degree) key
+        best = max(free, key=lambda v: ((pattern.rows[v] & seen).bit_count(),
+                                        pattern.degree(v), -v))
+        order.append(best)
+        seen |= 1 << best
+    image = [0] * k
+
+    def dfs(i, used):
+        if i == k:
+            return True
+        p = order[i]
+        dom = sum(1 << c for c in range(n)
+                  if host.degree(c) >= pattern.degree(p)) & ~used
+        for j in range(i):
+            row = host.rows[image[j]]
+            dom &= row if pattern.has_edge(p, order[j]) else ~row
+        for c in range(n):
+            if dom >> c & 1:
+                image[i] = c
+                if dfs(i + 1, used | 1 << c):
+                    return True
+        return False
+
+    if not dfs(0, 0):
+        return None
+    phi = [0] * k
+    for i, p in enumerate(order):
+        phi[p] = image[i]
+    return phi
+
+
+def twin_rich_hosts(rng):
+    """Shuffled hosts full of twins: random graphs with true and false
+    twins added, complete multipartite graphs, clique-stars and unions of
+    two cliques."""
+    def shuffled(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return relabel(g, perm)
+
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.5])
+        for _ in range(rng.randint(1, 5)):
+            v = rng.randrange(g.n)
+            edges = list(g.edges()) + [(u, g.n) for u in range(g.n)
+                                       if g.has_edge(u, v)]
+            if rng.random() < 0.5:  # a true twin of v, else a false one
+                edges.append((v, g.n))
+            g = Graph(g.n + 1, edges)
+        yield shuffled(g)
+    for _ in range(20):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 5))]
+        yield shuffled(complete_multipartite(sizes))
+        yield shuffled(clique_star(rng.randint(1, 3),
+                                   [rng.randint(1, 3) for _ in range(3)]))
+        yield shuffled(disjoint_union(complete_graph(rng.randint(1, 6)),
+                                      complete_graph(rng.randint(1, 6))))
+
+
+def test_twin_rule_keeps_the_first_embedding():
+    # the twin rule skips only candidates that would fail, so the
+    # embedding found, not only its existence, is unchanged
+    rng = random.Random(15)
+    patterns = [named_graph(s) for s in ("C3", "P4", "C4", "paw", "diamond",
+                                         "2P2", "3P1", "claw", "C5",
+                                         *RECOGNIZER_PATTERNS)]
+    found = 0
+    for host in twin_rich_hosts(rng):
+        for pat in patterns:
+            phi = find_induced_embedding(pat, host)
+            assert phi == embedding_without_twin_rule(pat, host), (
+                pat.rows, host.rows)
+            found += phi is not None
+    assert found > 100
 
 
 def test_induced_embedding_of_larger_pattern_fails():

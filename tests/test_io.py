@@ -7,6 +7,7 @@ import pytest
 from pivotminors import (
     Graph,
     from_edgelist,
+    generate_all_graphs,
     from_graph6,
     parse_graph_text,
     read_graphs,
@@ -36,6 +37,34 @@ def test_graph6_roundtrip():
     for _ in range(300):
         g = random_graph(rng, rng.randint(0, 12))
         assert from_graph6(to_graph6(g)) == g
+
+
+def graph6_bit_by_bit(g):
+    """graph6 the long way: the upper triangle column by column, one bit at
+    a time, six bits to a character."""
+    n = g.n
+    prefix = chr(63 + n) if n <= 62 else "~" + "".join(
+        chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    bits = [g.has_edge(i, j) for j in range(1, n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    return prefix + "".join(
+        chr(63 + sum(b << (5 - k) for k, b in enumerate(bits[i:i + 6])))
+        for i in range(0, len(bits), 6))
+
+
+def test_graph6_matches_the_bit_by_bit_encoding():
+    # every class on at most 8 vertices, and random graphs up to the
+    # 64-vertex cap, across the '~' size escape at 63
+    rng = random.Random(9)
+    graphs = [g for n in range(9) for g in generate_all_graphs(n)]
+    for n in (*range(65), 62, 63, 64, 62, 63, 64):
+        graphs += [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)]
+    graphs.append(Graph(64, [(u, v) for u in range(64)
+                             for v in range(u + 1, 64)]))
+    for g in graphs:
+        s = to_graph6(g)
+        assert s == graph6_bit_by_bit(g)
+        assert from_graph6(s) == g
 
 
 def test_graph6_large_order_escape():

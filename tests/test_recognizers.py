@@ -236,6 +236,23 @@ def test_recognizers_hold_up_at_64_vertices():
     assert time.perf_counter() - start < 30.0
 
 
+def test_twin_rich_hosts_are_searched_once_per_twin_class():
+    """The 3P1 and claw searches on 64-vertex hosts made of twins: two
+    disjoint K32 are free of both, and the cocktail party graph K(2^32)
+    holds a W4.  Stated bound: under 1 s in total (about 0.05 s on a
+    2-core machine; each took seconds when every twin was tried)."""
+    two_cliques = disjoint_union(complete_graph(32), complete_graph(32))
+    cocktail = complete_multipartite([2] * 32)
+    start = time.perf_counter()
+    assert not recognize(two_cliques, "claw").contains
+    assert not recognize(two_cliques, "3P1").contains
+    res = recognize(cocktail, "claw")
+    elapsed = time.perf_counter() - start
+    assert res.obstruction_name == "W4"
+    assert_certified(res, cocktail, named_graph("claw"))
+    assert elapsed < 1.0
+
+
 # -- one obstruction search behind the certificates ------------------------
 
 SEARCH_TARGETS = {  # key of recognizers._OBSTRUCTIONS -> targets searched
