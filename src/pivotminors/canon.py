@@ -311,9 +311,8 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
         seen |= 1 << bestv
     hrows = host.rows
     hdeg = [r.bit_count() for r in hrows]
-    # each host vertex's twins, itself included: the class of its open
-    # neighbourhood joined with that of its closed one (a vertex with an
-    # open twin has no closed twin, and the other way round)
+    # each host vertex's twins, itself included: the vertices with its open
+    # neighbourhood and those with its closed one
     opened: dict[int, int] = {}
     closed: dict[int, int] = {}
     for c, r in enumerate(hrows):

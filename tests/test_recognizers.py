@@ -210,7 +210,7 @@ def test_recognizers_hold_up_at_64_vertices():
     """All eight recognizers, with certificate replay, on graphs up to the
     64-vertex limit: odd holes well past the canonical-form cap, a wheel,
     two disjoint cliques and one seeded G(64, 0.5).  Stated bound: under
-    30 s in total (about 3 s on a 2-core machine)."""
+    30 s in total (about 0.1 s on a 2-core machine)."""
     rng = random.Random(64)
     gnp = Graph(64, [(u, v) for u in range(64) for v in range(u + 1, 64)
                      if rng.random() < 0.5])
@@ -244,8 +244,8 @@ def test_twin_rich_hosts_are_searched_once_per_twin_class():
     two_cliques = disjoint_union(complete_graph(32), complete_graph(32))
     cocktail = complete_multipartite([2] * 32)
     start = time.perf_counter()
-    assert not recognize(two_cliques, "claw").contains
-    assert not recognize(two_cliques, "3P1").contains
+    assert recognize(two_cliques, "claw").verdict == "free"
+    assert recognize(two_cliques, "3P1").verdict == "free"
     res = recognize(cocktail, "claw")
     elapsed = time.perf_counter() - start
     assert res.obstruction_name == "W4"
