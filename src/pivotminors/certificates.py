@@ -32,7 +32,7 @@ from .containment import (
     contains_pivot_minor,
     pivot_orbit,
 )
-from .graphs import Graph, contract_pivot, delete_vertex, induced_subgraph, pivot
+from .graphs import Graph, delete_vertex, induced_subgraph, pivot
 from .io import to_graph6
 
 
@@ -103,17 +103,6 @@ def steps_from_json(data: Sequence[dict]) -> list[Step]:
     return steps
 
 
-def _reductions_with_steps(g: Graph):
-    """Each one-vertex reduction of g, in containment's order (delete v,
-    then contract v unless it is isolated), with the steps that do it."""
-    for v in range(g.n):
-        yield [DeleteVertex(v)], delete_vertex(g, v)
-        nb = g.rows[v]
-        if nb:
-            z = (nb & -nb).bit_length() - 1
-            yield [PivotEdge(z, v), DeleteVertex(v)], contract_pivot(g, v)
-
-
 def find_pivot_minor_sequence(
     g: Graph,
     h: Graph,
@@ -122,6 +111,10 @@ def find_pivot_minor_sequence(
 ) -> tuple[list[Step], list[int]] | None:
     """A step list carrying g onto an isomorphic copy of h, plus the final
     bijection (result vertex -> h vertex).
+
+    The peel records exactly the search's reductions: the first triple of
+    containment._reductions that still contains h, as DeleteVertex(v),
+    after PivotEdge(z, v) for a contract-pivot.
 
     Returns None when h is not a pivot-minor of g; raises OrbitLimitError
     when h's pivot orbit has more than containment.ORBIT_LIMIT members.
@@ -138,12 +131,14 @@ def find_pivot_minor_sequence(
     cur = g
     # peel one vertex at a time, preferring plain deletion
     while cur.n > h.n:
-        found = next(((peel, r) for peel, r in _reductions_with_steps(cur)
+        found = next(((v, z, r) for v, z, r in containment._reductions(cur)
                       if contains_pivot_minor(r, h, cache=cache)), None)
         if found is None:
             raise AssertionError("containment held but no reduction worked")
-        peel, cur = found
-        steps += peel
+        v, z, cur = found
+        if z >= 0:
+            steps.append(PivotEdge(z, v))
+        steps.append(DeleteVertex(v))
 
     # same order: walk the pivot orbit of cur to an isomorphic copy of h
     fh = canonical_form(h)

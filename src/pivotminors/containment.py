@@ -4,22 +4,22 @@ A pivot-minor of g is reached by pivoting edges and deleting vertices.
 The decision procedure recurses on the reduction: h is a pivot-minor of g
 with |g| > |h| exactly when, for some vertex v, h is a pivot-minor of
 g - v or of g / v (pivot v with a neighbour, then delete v; any neighbour
-gives a pivot-equivalent result).  At |g| == |h| the question degenerates
-to pivot equivalence up to isomorphism, settled by enumerating the pivot
-orbit of the target once and comparing canonical forms.
+gives a pivot-equivalent result).  _reductions states that rule once: the
+search recurses on its graphs, and the certificate peel records its
+triples as steps, so a certificate holds exactly the search's reductions.
+At |g| == |h| the query compares canonical forms with the target's pivot
+orbit, enumerated once, so the recursion sees only nodes above |h|.
 
 The last two levels are settled on labelled graphs.  A graph on |h| + 1
 vertices (_settle_last) computes the edge count and degree sequence of
 each reduction from its rows, and builds and canonicalises only those
 that match an orbit form (no other can be in the orbit), stopping at the
-first in the orbit.  A node on |h| + 2 vertices hands each of its
-labelled reductions to _settle_last, so none of them is canonicalised or
-stored: the verdict of a graph on |h| + 1 vertices depends only on its
-isomorphism class, and its form would serve only to look that verdict up.
-The node itself still memoises its verdict.  When the cache already holds
-the node's children, stored by a query for a smaller target, it reads
-those instead, as a sweep of many hosts against one target meets the
-same classes again and again.
+first in the orbit.  A node on |h| + 2 vertices hands its labelled
+reductions to _settle_last without canonicalising or storing them, since
+a verdict on |h| + 1 vertices depends only on the class; it memoises its
+own verdict.  When the cache holds the node's children, stored by a
+query for a smaller target, it reads those instead, as a sweep of many
+hosts against one target meets the same classes again and again.
 
 Every node above the last level is a canonical form, so the search does
 not depend on how the input is labelled.  Above |h| + 2 it tries the
@@ -103,13 +103,15 @@ def pivot_orbit(g: Graph) -> dict[Graph, tuple[Graph, int, int] | None]:
     return links
 
 
-def _reductions(g: Graph) -> Iterator[Graph]:
-    """The labelled one-vertex reductions of g: every deletion, and the
-    contract-pivot of every vertex that is not isolated."""
+def _reductions(g: Graph) -> Iterator[tuple[int, int, Graph]]:
+    """The labelled one-vertex reductions r of g, as triples (v, z, r):
+    each deletion of v (z = -1), then the contract-pivot of v with its
+    lowest neighbour z, unless v is isolated."""
     for v in range(g.n):
-        yield delete_vertex(g, v)
-        if g.rows[v]:  # an isolated vertex contracts to its deletion
-            yield contract_pivot(g, v)
+        yield v, -1, delete_vertex(g, v)
+        nb = g.rows[v]
+        if nb:
+            yield v, (nb & -nb).bit_length() - 1, contract_pivot(g, v)
 
 
 def _screened_reductions(
@@ -203,7 +205,7 @@ class PivotMinorCache:
         (canon.cell_keys), so its reversed rows give the sequence."""
         kids = self.children.get(g)
         if kids is None:
-            forms = {canonical_form(r) for r in _reductions(g)}
+            forms = {canonical_form(r) for _, _, r in _reductions(g)}
             kids = tuple(sorted(forms, key=lambda f: (
                 tuple(-r.bit_count() for r in reversed(f.rows)), f.rows)))
             cache_insert(self.children, g, kids)
@@ -260,8 +262,6 @@ def contains_pivot_minor(
     verdicts = cache.verdicts
 
     def rec(cur: Graph) -> bool:
-        if cur.n == th.n:
-            return cur in orbit
         found = verdicts.get((cur, th))
         if found is not None:
             cache.hits += 1
@@ -273,13 +273,15 @@ def contains_pivot_minor(
             # a verdict on |h| + 1 vertices depends only on the class, so
             # the labelled reductions need no canonical form of their own
             found = any(_settle_last(r, orbit, degrees, sizes)
-                        for r in _reductions(cur))
+                        for _, _, r in _reductions(cur))
         else:
             found = any(rec(kid) for kid in cache.child_keys(cur))
         cache_insert(verdicts, (cur, th), found)
         return found
 
-    return Verdict.TRUE if rec(canonical_form(g)) else Verdict.FALSE
+    fg = canonical_form(g)
+    found = fg in orbit if g.n == h.n else rec(fg)
+    return Verdict.TRUE if found else Verdict.FALSE
 
 
 def pivot_equivalent(g: Graph, h: Graph) -> bool:

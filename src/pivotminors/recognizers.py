@@ -309,14 +309,15 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
     induced subgraph of the prism or of W5, or a complete multipartite
     graph with leaves attached to singleton classes."""
     target_name = "2P2"
-    comps = connected_components(g)
     # a connected component has an edge exactly when it has two vertices
     # or more
-    edged = [c for c in comps if len(c) > 1]
+    edged = [c for c in connected_components(g) if len(c) > 1]
     if len(edged) >= 2:
-        (u1, v1) = next(iter(induced_subgraph(g, edged[0]).edges()))
-        (u2, v2) = next(iter(induced_subgraph(g, edged[1]).edges()))
-        verts = [edged[0][u1], edged[0][v1], edged[1][u2], edged[1][v2]]
+        # an edge of each: its first vertex and that vertex's lowest neighbour
+        verts = []
+        for c in edged[:2]:
+            nb = g.rows[c[0]]
+            verts += [c[0], (nb & -nb).bit_length() - 1]
         cert = build_certificate(
             g, verts, [], [0, 1, 2, 3], _NAMED["2P2"],
             obstruction_name="2P2",

@@ -1,6 +1,7 @@
 """Step sequences, sequence search, and certificate replay."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,31 @@ def test_sequence_exists_iff_contained(cache):
     for g in hosts:
         found = find_pivot_minor_sequence(g, h, cache=cache)
         assert (found is not None) == bool(contains_pivot_minor(g, h, cache=cache))
+
+
+# sha256 over one line per (class on at most 6 vertices, target): the
+# steps and the final map that find_pivot_minor_sequence returns, or null.
+# The peel records the search's reductions in containment._reductions
+# order, so a change to that order or to the canonical labelling
+# (ROADMAP item 1) moves it, to be re-pinned on purpose.
+SEQUENCE_DIGEST = (
+    "6f74d89d2bf74ccc3d11f886abffd0acb3122140837ec401a7b25077a8b0d143"
+)
+
+
+def test_sequence_output_is_pinned(cache):
+    lines = []
+    for n in range(7):
+        for g in generate_all_graphs(n):
+            for t in ("C3", "P4", "claw", "2P2"):
+                found = find_pivot_minor_sequence(g, named_graph(t),
+                                                  cache=cache)
+                if found is not None:
+                    steps, iso = found
+                    found = [steps_to_json(steps), iso]
+                lines.append(json.dumps(found) + "\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == SEQUENCE_DIGEST
 
 
 def test_find_sequence_names_the_orbit_limit(monkeypatch):

@@ -13,10 +13,13 @@ import random
 import pytest
 
 from pivotminors import (
+    DeleteVertex,
     Graph,
     OrbitLimitError,
+    PivotEdge,
     PivotMinorCache,
     Verdict,
+    apply_sequence,
     canonical_form,
     canonical_key,
     contains_pivot_minor,
@@ -149,9 +152,17 @@ def test_last_level_screen_is_exact():
 
 def test_screened_reductions_compute_degrees_from_rows():
     # asked for one degree sequence and its edge count, the screen must
-    # yield exactly the reductions that have it, in _reductions order
+    # yield exactly the reductions that have it, in _reductions order.
+    # Each triple (v, z, r) replays to r as the certificate peel records
+    # it, and an isolated v has its deletion only
     def check(g):
-        reds = list(containment._reductions(g))
+        triples = list(containment._reductions(g))
+        for v, z, r in triples:
+            steps = [PivotEdge(z, v)] if z >= 0 else []
+            assert apply_sequence(g, steps + [DeleteVertex(v)]) == r
+        assert [v for v, z, _ in triples if z >= 0] == \
+            [v for v in range(g.n) if g.rows[v]]
+        reds = [r for _, _, r in triples]
         for seq in {r.degree_sequence() for r in reds}:
             got = containment._screened_reductions(
                 g, frozenset([seq]), frozenset([sum(seq) // 2]))
