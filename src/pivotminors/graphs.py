@@ -181,18 +181,32 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on the given vertices, relabelled 0..k-1 in the
-    order listed (a sorted list keeps the original relative order)."""
+    order listed (a sorted list keeps the original relative order).
+
+    The list 0..n-1 in order returns g itself.  Otherwise each new row is
+    read off the set bits of the old row restricted to the kept vertices,
+    so the cost is O(k + edges kept) rather than O(k^2).
+    """
     vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        raise ValueError("duplicate vertices")
+    if vs == list(range(g.n)):
+        return g  # valid by construction
+    pos = [0] * g.n
+    keep = 0
+    for j, a in enumerate(vs):
+        _check_vertex(g, a)
+        bit = 1 << a
+        if keep & bit:
+            raise ValueError("duplicate vertices")
+        keep |= bit
+        pos[a] = j
     rows = []
     for a in vs:
-        _check_vertex(g, a)
-        ra = g.rows[a]
+        r = g.rows[a] & keep
         m = 0
-        for j, b in enumerate(vs):
-            if ra >> b & 1:
-                m |= 1 << j
+        while r:
+            low = r & -r
+            m |= 1 << pos[low.bit_length() - 1]
+            r ^= low
         rows.append(m)
     return Graph._make(len(vs), tuple(rows))
 

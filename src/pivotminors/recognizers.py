@@ -111,48 +111,73 @@ def _odd_cycle_steps(k: int, floor: int) -> list[Step]:
 def _shortest_odd_cycle(g: Graph) -> list[int]:
     """Vertices of a shortest odd cycle in cyclic order.
 
-    Minimality makes the returned cycle chordless, which the caller relies
-    on.  Requires a non-bipartite graph.
+    Each root, in ascending order, grows a BFS tree one layer at a time,
+    layers in discovery order and every vertex's parent its first
+    discoverer.  The first edge uv inside a layer d, in g.edges() order,
+    closes an odd walk of length 2d + 1 along the tree paths of u and v;
+    a root stops there, or at the first layer that cannot beat the best
+    walk so far.  The result is the walk of the first root that reaches
+    the shortest length.  Minimality makes it a chordless cycle, which
+    the caller relies on.  Requires a non-bipartite graph.
     """
+    rows = g.rows
     best_len = g.n + 1
     best: list[int] | None = None
+    parent = [0] * g.n
     for root in range(g.n):
         if best_len == 3:
             break  # a triangle is as short as odd cycles get
-        dist = {root: 0}
-        parent = {root: -1}
-        layer = [root]
-        while layer:
-            nxt = []
+        layer, mask = [root], 1 << root
+        seen = mask
+        d = 0
+        while layer and 2 * d + 1 < best_len:
+            edge = _first_inner_edge(rows, mask)
+            if edge is not None:
+                # if the tree paths meet below the root, at x, they close
+                # an odd cycle through x that is shorter, so a later root
+                # replaces this walk; at the shortest length they meet only
+                # at the root, and the walk is a cycle
+                pu, pv = [edge[0]], [edge[1]]
+                for _ in range(d):
+                    pu.append(parent[pu[-1]])
+                    pv.append(parent[pv[-1]])
+                best_len = 2 * d + 1
+                best = pu[::-1] + pv[:-1]
+                break
+            nxt, mask = [], 0
             for u in layer:
-                for w in _bits(g.rows[u]):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
+                new = rows[u] & ~seen
+                seen |= new
+                mask |= new
+                for w in _bits(new):
+                    parent[w] = u
+                    nxt.append(w)
             layer = nxt
-        for u, v in g.edges():
-            if u in dist and v in dist and dist[u] == dist[v]:
-                length = dist[u] + dist[v] + 1
-                if length < best_len:
-                    # walk both tree paths up to the root together
-                    pu, pv = [u], [v]
-                    for _ in range(dist[u]):
-                        pu.append(parent[pu[-1]])
-                        pv.append(parent[pv[-1]])
-                    cycle = pu[::-1] + pv[:-1]
-                    if len(set(cycle)) == len(cycle):
-                        best_len = length
-                        best = cycle
+            d += 1
     if best is None:
         raise ValueError("graph is bipartite, no odd cycle exists")
-    assert len(best) % 2 == 1
-    # chordless: a chord would yield a shorter odd cycle
-    for i in range(len(best)):
-        for j in range(i + 2, len(best)):
-            if (i, j) != (0, len(best) - 1):
-                assert not g.has_edge(best[i], best[j]), "cycle has a chord"
+    k = len(best)
+    assert k % 2 == 1
+    # a simple cycle without chords: each vertex sees exactly its two
+    # cycle neighbours on the cycle (a chord would yield a shorter odd cycle)
+    on_cycle = 0
+    for v in best:
+        on_cycle |= 1 << v
+    assert on_cycle.bit_count() == k, "cycle repeats a vertex"
+    for i, v in enumerate(best):
+        ends = 1 << best[i - 1] | 1 << best[(i + 1) % k]
+        assert rows[v] & on_cycle == ends, "cycle has a chord"
     return best
+
+
+def _first_inner_edge(rows: tuple[int, ...], mask: int) -> tuple[int, int] | None:
+    """The first edge uv, u < v in lexicographic order, with both ends in
+    mask, or None."""
+    for u in _bits(mask):
+        above = rows[u] & mask >> (u + 1) << (u + 1)
+        if above:
+            return u, (above & -above).bit_length() - 1
+    return None
 
 
 def _search_obstructions(

@@ -174,6 +174,37 @@ def test_induced_subgraph_respects_order():
         induced_subgraph(g, [0, 0, 1])
 
 
+def reference_induced_subgraph(g, vs):
+    """The former O(k^2) kernel: one adjacency test per ordered pair."""
+    rows = []
+    for a in vs:
+        m = 0
+        for j, b in enumerate(vs):
+            if g.has_edge(a, b):
+                m |= 1 << j
+        rows.append(m)
+    return Graph._make(len(vs), tuple(rows))
+
+
+def test_induced_subgraph_matches_the_pairwise_reference():
+    rng = random.Random(16)
+    for _ in range(400):
+        n = rng.randint(0, 64)
+        g = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        sub = rng.sample(range(n), rng.randint(0, n))
+        for vs in (shuffled, sub, sorted(sub), [], list(range(n))):
+            assert induced_subgraph(g, vs) == reference_induced_subgraph(g, vs)
+            assert induced_subgraph(g, iter(vs)) == induced_subgraph(g, vs)
+        assert induced_subgraph(g, range(n)) is g
+    g = random_graph(rng, 10)
+    for bad in ([3, 1, 3], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0], [10], [2, -1],
+                [0, 1, 2, 3, 4, 5, 6, 7, 8, 10]):
+        with pytest.raises(ValueError):
+            induced_subgraph(g, bad)
+
+
 def test_contract_pivot_isolated_vertex_is_deletion():
     g = Graph(3, [(0, 1)])
     assert contract_pivot(g, 2) == Graph(2, [(0, 1)])

@@ -17,6 +17,7 @@ from pivotminors import (
     cycle_graph,
     disjoint_union,
     generate_all_graphs,
+    is_bipartite,
     is_minimal_obstruction,
     leaf_attached_multipartite,
     mine,
@@ -302,6 +303,106 @@ def test_first_bad_component_picks_the_branch():
             res = rec(g)
             assert res.obstruction_name == expected, (tname, expected)
             assert_certified(res, g, named_graph(tname))
+
+
+# -- the odd-cycle kernel against the former per-root scan -----------------
+
+def reference_shortest_odd_cycle(g):
+    """The former kernel: a full BFS from every root, then a scan of
+    g.edges() for edges inside a layer whose two tree paths are disjoint."""
+    best_len = g.n + 1
+    best = None
+    for root in range(g.n):
+        if best_len == 3:
+            break
+        dist = {root: 0}
+        parent = {root: -1}
+        layer = [root]
+        while layer:
+            nxt = []
+            for u in layer:
+                for w in g.neighbors(u):
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
+            layer = nxt
+        for u, v in g.edges():
+            if u in dist and v in dist and dist[u] == dist[v]:
+                length = dist[u] + dist[v] + 1
+                if length < best_len:
+                    pu, pv = [u], [v]
+                    for _ in range(dist[u]):
+                        pu.append(parent[pu[-1]])
+                        pv.append(parent[pv[-1]])
+                    cycle = pu[::-1] + pv[:-1]
+                    if len(set(cycle)) == len(cycle):
+                        best_len = length
+                        best = cycle
+    if best is None:
+        raise ValueError("graph is bipartite, no odd cycle exists")
+    return best
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _gnp(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+def _odd_grid(rng, a, b):
+    """The a x b grid plus one edge between two cells of the same colour:
+    the odd cycles all use that edge, and the grid's many shortest paths
+    make the tree paths depend on the order in which each layer was found."""
+    edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    edges += [(i * b + j, i * b + b + j) for i in range(a - 1) for j in range(b)]
+    while True:
+        u, v = rng.sample(range(a * b), 2)
+        if (u // b + u % b - v // b - v % b) % 2 == 0 and abs(u - v) > 1:
+            return _relabelled(Graph(a * b, edges + [(u, v)]), rng)
+
+
+def test_shortest_odd_cycle_matches_the_per_root_scan():
+    """The layered search returns the very list of the former kernel: the
+    same root, the same edge, the same tree paths."""
+    rng = random.Random(16)
+    graphs = []
+    for n in range(3, 8):
+        for g in generate_all_graphs(n):
+            if not is_bipartite(g):
+                graphs += [_relabelled(g, rng) for _ in range(3)]
+    for k in range(5, 64, 2):
+        graphs += [cycle_graph(k), _relabelled(cycle_graph(k), rng)]
+        graphs += [wheel_graph(k), _relabelled(wheel_graph(k), rng)]
+    for a in range(3, 9):
+        for b in range(3, 64 // a + 1):
+            graphs += [_odd_grid(rng, a, b) for _ in range(3)]
+    for n in range(3, 65):
+        for p in (0.05, 0.1, 0.5, 0.9):
+            g = _gnp(rng, n, p)
+            if not is_bipartite(g):
+                graphs.append(g)
+    # the shortest odd cycle lies in a component after the first, out of
+    # reach of every BFS from an earlier root
+    graphs += [
+        disjoint_union(cycle_graph(8), cycle_graph(5)),
+        disjoint_union(path_graph(20), cycle_graph(43)),
+        disjoint_union(cycle_graph(9), disjoint_union(cycle_graph(6),
+                                                      cycle_graph(5))),
+        _relabelled(disjoint_union(star_graph(30), cycle_graph(31)), rng),
+    ]
+    assert len(graphs) > 3000
+    for g in graphs:
+        assert recognizers._shortest_odd_cycle(g) == \
+            reference_shortest_odd_cycle(g), g
+    for g in (Graph(0), cycle_graph(6), _gnp(rng, 40, 0.0), path_graph(64)):
+        with pytest.raises(ValueError):
+            recognizers._shortest_odd_cycle(g)
 
 
 def test_recognize_bounded_refuses_a_set_mined_for_another_target(cache):
