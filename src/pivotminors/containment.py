@@ -28,6 +28,14 @@ heuristic: a search that answers TRUE stops at its first TRUE child, and
 a child that keeps high degrees has the most left to hold the target.  A
 search that answers FALSE visits every child whatever the order.
 
+A bipartite node is FALSE, before any child is computed, unless each
+component of h is bipartite, with sides p <= q, and fits into a component
+of the node, with sides a <= b: p <= a and q <= b.  This is exact.
+Pivoting an edge of a bipartite graph swaps its ends between the sides,
+so every component keeps its vertex set and side sizes, and a deletion
+only shrinks a side: a connected pivot-minor lies in one component, with
+sides no larger.  The |h| + 2 level drops such reductions unsettled.
+
 The target's pivot orbit is the only resource limit.  Pivoting an edge
 is a principal pivot transform of the adjacency matrix over GF(2), so
 every labelled member of the orbit of an n-vertex graph is g * X for an
@@ -47,7 +55,8 @@ from collections import deque
 from collections.abc import Iterator
 
 from .canon import cache_insert, canonical_form
-from .graphs import Graph, _bits, contract_pivot, delete_vertex, pivot
+from .graphs import (
+    Graph, _bits, component_sides, contract_pivot, delete_vertex, pivot)
 
 # labelled orbit members of an n-vertex graph number at most 2^(n-1)
 # (see the module docstring), so this binds only from 22 vertices on
@@ -161,6 +170,13 @@ def _screened_reductions(
             yield contract_pivot(g, v)
 
 
+def _side_sizes(g: Graph) -> list[tuple[int, int]] | None:
+    """Each component's side sizes, smaller first; None if not bipartite."""
+    comps = component_sides(g)
+    return None if comps is None else [
+        tuple(sorted((a.bit_count(), b.bit_count()))) for a, b in comps]
+
+
 def _settle_last(g: Graph, orbit: frozenset, degrees: frozenset,
                  sizes: frozenset) -> bool:
     """Is some one-vertex reduction of the labelled graph g, on |h| + 1
@@ -260,6 +276,13 @@ def contains_pivot_minor(
     orbit, degrees = target
     sizes = frozenset(sum(s) >> 1 for s in degrees)
     verdicts = cache.verdicts
+    need = _side_sizes(th)
+
+    def room(cur: Graph) -> bool:
+        # False when cur is bipartite and has no room for h's components
+        have = _side_sizes(cur)
+        return have is None or need is not None and all(
+            any(p <= a and q <= b for a, b in have) for p, q in need)
 
     def rec(cur: Graph) -> bool:
         found = verdicts.get((cur, th))
@@ -267,13 +290,15 @@ def contains_pivot_minor(
             cache.hits += 1
             return found
         cache.misses += 1
-        if cur.n == th.n + 1:
+        if not room(cur):
+            found = False
+        elif cur.n == th.n + 1:
             found = _settle_last(cur, orbit, degrees, sizes)
         elif cur.n == th.n + 2 and cur not in cache.children:
             # a verdict on |h| + 1 vertices depends only on the class, so
             # the labelled reductions need no canonical form of their own
             found = any(_settle_last(r, orbit, degrees, sizes)
-                        for _, _, r in _reductions(cur))
+                        for _, _, r in _reductions(cur) if room(r))
         else:
             found = any(rec(kid) for kid in cache.child_keys(cur))
         cache_insert(verdicts, (cur, th), found)

@@ -260,27 +260,40 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def component_sides(g: Graph) -> list[tuple[int, int]] | None:
+    """The two side masks of each connected component, ordered by
+    smallest member, which is on the first side; None if an odd cycle
+    exists.  Each component is searched layer by layer from its smallest
+    vertex, and an edge inside a layer closes an odd cycle."""
+    rows = g.rows
+    unseen = (1 << g.n) - 1
+    comps = []
+    while unseen:
+        frontier = unseen & -unseen
+        sides = [0, 0]
+        k = 0
+        while frontier:
+            sides[k] |= frontier
+            unseen ^= frontier
+            reach = 0
+            for v in _bits(frontier):
+                reach |= rows[v]
+            if reach & frontier:
+                return None
+            frontier = reach & unseen
+            k ^= 1
+        comps.append((sides[0], sides[1]))
+    return comps
+
+
 def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-colour g; returns the side masks, or None if an odd cycle exists."""
-    color = [-1] * g.n
-    sides = [0, 0]
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        sides[0] |= 1 << s
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            cu = color[u]
-            for w in _bits(g.rows[u]):
-                if color[w] == -1:
-                    color[w] = 1 - cu
-                    sides[1 - cu] |= 1 << w
-                    queue.append(w)
-                elif color[w] == cu:
-                    return None
-    return sides[0], sides[1]
+    """Two-colour g; returns the side masks, or None if an odd cycle exists.
+    The smallest vertex of each component is on the first side."""
+    comps = component_sides(g)
+    if comps is None:
+        return None
+    # the components' masks are disjoint, so their sums are their unions
+    return sum(a for a, _ in comps), sum(b for _, b in comps)
 
 
 def is_bipartite(g: Graph) -> bool:

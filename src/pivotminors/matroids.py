@@ -138,10 +138,9 @@ def reduction_roundtrip(
     whether the two sides agree.  Inputs below 5 vertices are outside the
     equivalence guarantee and get flagged, not rejected.
     """
-    if any(g.degree(v) != 3 for v in range(g.n)):
-        raise ValueError("the reduction needs a 3-regular graph")
-    if not is_connected(g):
-        raise ValueError("the reduction needs a connected graph")
+    if g.n == 0 or any(g.degree(v) != 3 for v in range(g.n)) \
+            or not is_connected(g):
+        raise ValueError("the reduction needs a connected cubic graph")
     notes = []
     if g.n < 5:
         notes.append(

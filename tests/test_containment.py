@@ -26,9 +26,11 @@ from pivotminors import (
     contract_pivot,
     delete_vertex,
     disjoint_union,
+    from_graph6,
     fundamental_graph,
     generate_all_graphs,
     induced_subgraph,
+    is_bipartite,
     is_connected,
     is_isomorphic,
     named_graph,
@@ -148,6 +150,36 @@ def test_last_level_screen_is_exact():
     assert len(cubic) == 8  # K4; K3,3 and the prism; five on 8 vertices
     for g in cubic:
         check(fundamental_graph(g).graph, star_graph(g.n - 1))
+
+
+def test_side_rule_is_exact():
+    # every bipartite class on up to 8 vertices and every class on 6,
+    # against connected and disconnected bipartite targets and two that
+    # are not bipartite.  Each target runs on a fresh cache, where a node
+    # on |h| + 2 vertices filters its labelled reductions, and on one
+    # cache shared by all targets in ascending order, where such a node
+    # may read children stored for a smaller target
+    memo = {}
+    shared = PivotMinorCache()
+    hosts = [g for n in range(1, 9) for g in generate_all_graphs(n)
+             if n == 6 or is_bipartite(g)]
+    names = ["C3", "3P1", "P4", "C4", "paw", "2P2", "claw", "K1,4", "P5",
+             "K1,5"]
+    for h in map(named_graph, names):
+        fresh = PivotMinorCache()
+        for g in hosts:
+            want = reference_contains(g, h, memo)
+            for cache in (fresh, shared):
+                assert bool(contains_pivot_minor(g, h, cache=cache)) == want, \
+                    (canonical_key(g), canonical_key(h))
+    # a bipartite host never holds a target that is not bipartite, so this
+    # 16-vertex query ends at its root with no child computed
+    host = from_graph6("O????@xA?gG?G?@?PO@S?")
+    assert is_bipartite(host)
+    cache = PivotMinorCache()
+    assert contains_pivot_minor(host, named_graph("C3"),
+                                cache=cache) is Verdict.FALSE
+    assert not cache.children
 
 
 def test_screened_reductions_compute_degrees_from_rows():

@@ -13,6 +13,7 @@ from pivotminors import (
     contract_pivot,
     delete_vertex,
     disjoint_union,
+    generate_all_graphs,
     induced_subgraph,
     is_bipartite,
     is_connected,
@@ -21,6 +22,7 @@ from pivotminors import (
     pivot,
     pivot_equivalent,
 )
+from pivotminors.graphs import _bits, component_sides
 
 
 def all_labeled_graphs(n):
@@ -270,3 +272,83 @@ def test_bipartition_odd_cycle_detected():
     assert bipartition(c5) is None
     c4 = Graph(4, [(i, (i + 1) % 4) for i in range(4)])
     assert bipartition(c4) is not None
+
+
+def reference_bipartition(g):
+    """Depth-first two-colouring from each component's smallest vertex."""
+    color = [-1] * g.n
+    sides = [0, 0]
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        sides[0] |= 1 << s
+        queue = [s]
+        while queue:
+            u = queue.pop()
+            cu = color[u]
+            for w in _bits(g.rows[u]):
+                if color[w] == -1:
+                    color[w] = 1 - cu
+                    sides[1 - cu] |= 1 << w
+                    queue.append(w)
+                elif color[w] == cu:
+                    return None
+    return sides[0], sides[1]
+
+
+def reference_components(g):
+    """Component vertex masks, ordered by smallest member."""
+    unseen = (1 << g.n) - 1
+    comps = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= g.rows[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        unseen &= ~comp
+    return comps
+
+
+def test_component_sides_match_the_depth_first_reference():
+    # bipartition folds component_sides, so both must give the reference's
+    # masks: the whole sides, and each component's share of them
+    def check(g):
+        want = reference_bipartition(g)
+        assert bipartition(g) == want
+        if want is None:
+            assert component_sides(g) is None
+            return
+        a, b = want
+        assert component_sides(g) == \
+            [(a & c, b & c) for c in reference_components(g)]
+
+    for g in (Graph(0), Graph(1), Graph(4), Graph(5, [(1, 3)]),
+              Graph(6, [(0, 5), (5, 2), (2, 4)])):
+        check(g)
+    assert component_sides(Graph(0)) == [] and bipartition(Graph(0)) == (0, 0)
+    assert component_sides(Graph(3, [(1, 2)])) == [(1, 0), (2, 4)]
+    for n in range(8):
+        for g in generate_all_graphs(n):
+            check(g)
+    # random bipartite graphs, half of them with one edge inside a side,
+    # relabelled, alone and beside isolated vertices
+    rng = random.Random(18)
+    for _ in range(2000):
+        n = rng.randint(2, 24)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if side[u] != side[v] and rng.random() < p]
+        if rng.random() < 0.5:
+            edges.append(tuple(rng.sample(range(n), 2)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
+        check(g)
+        check(disjoint_union(g, Graph(rng.randint(1, 3))))
+        check(disjoint_union(Graph(rng.randint(1, 3)), g))

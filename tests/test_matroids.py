@@ -23,6 +23,7 @@ from pivotminors import (
     reduction_roundtrip,
     spanning_tree,
 )
+from pivotminors import canon
 from pivotminors.matroids import HAMILTON_MAX_VERTICES
 
 
@@ -157,6 +158,8 @@ def test_reduction_roundtrip_input_checks():
                    + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)])
     with pytest.raises(ValueError):
         reduction_roundtrip(two_k4)  # cubic but disconnected
+    with pytest.raises(ValueError, match="connected cubic graph"):
+        reduction_roundtrip(Graph(0))  # vacuously cubic, spans no tree
 
 
 def test_reduction_roundtrip_k4_is_flagged(cache):
@@ -179,12 +182,25 @@ def test_reduction_roundtrip_prism(cache):
     assert report["notes"] == []
 
 
-def test_reduction_roundtrip_petersen_is_false():
+def test_reduction_roundtrip_petersen_is_false(monkeypatch):
     # the reduction's FALSE side at n >= 5: a fresh cache, so the whole
-    # 15-vertex query against K1,9 runs here
+    # 15-vertex query against K1,9 runs here.  The side rule drops every
+    # bipartite node with no room for K1,9, so the search stores at most
+    # 250 verdicts and runs at most 600 labelling searches (1,823 without)
+    searches = []
+    search = canon._search
+
+    def spy(g, *rest):
+        searches.append(g)
+        return search(g, *rest)
+
+    monkeypatch.setattr(canon, "_search", spy)
+    cache = PivotMinorCache()
     start = time.perf_counter()
-    report = reduction_roundtrip(petersen_graph(), cache=PivotMinorCache())
+    report = reduction_roundtrip(petersen_graph(), cache=cache)
     assert time.perf_counter() - start < 30
+    assert len(cache.verdicts) <= 250
+    assert len(searches) <= 600
     assert report["target"] == "K1,9"
     assert report["contains_verdict"] == "false"
     assert report["hamiltonian"] is False
@@ -206,7 +222,9 @@ I?KqlR?oG I?KydF?oG I?LRCegp? I?LRCigo_
 def test_reduction_roundtrip_agrees_on_cubic_graphs_up_to_10():
     # a fresh cache per graph, so each query runs whole; a TRUE side stops
     # at its first TRUE child, and trying children richest first keeps the
-    # 25 Hamiltonian searches near 200 nodes in all
+    # 25 Hamiltonian searches near 200 nodes in all.  I?CxuB@w? has a
+    # bridge, so its gadget's components have sides (3, 4), (3, 4) and
+    # (0, 1), none with room for K1,9: the side rule answers at the root
     assert len(CUBIC_UP_TO_10) == 26
     explored = 0
     for g6 in CUBIC_UP_TO_10:
@@ -215,4 +233,6 @@ def test_reduction_roundtrip_agrees_on_cubic_graphs_up_to_10():
         assert report["sides_agree"] is True, g6
         if report["hamiltonian"]:
             explored += len(cache.children)
+        if g6 == "I?CxuB@w?":
+            assert len(cache.verdicts) == 1 and not cache.children
     assert explored <= 300
