@@ -8,12 +8,13 @@ A certificate pins down a containment claim so that a verifier can replay
 it with no search: an ordered vertex subset of the input (whose induced
 subgraph, taken in that order, is the named obstruction), a step list
 turning that induced subgraph into the target, and the final bijection
-onto the target, checked edge by edge.  Format version 2 stores the
-obstruction labelled, as the graph6 of that induced subgraph in
-certificate order, and the target as the graph6 it was issued for, so the
-verifier compares labelled graphs and needs no canonical form.  It replays
-the steps through apply_sequence, the one definition of the step language
-that callers share, and uses nothing from the search.
+onto the target, checked edge by edge.  It holds the input, the
+obstruction (that induced subgraph, in certificate order) and the target
+as labelled graphs, which the verifier compares with ==, so it needs no
+canonical form; graph6 is written and read only by to_json and from_json
+(format version 2).  The verifier replays the steps through
+apply_sequence, the one definition of the step language that callers
+share, and uses nothing from the search.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .containment import (
     pivot_orbit,
 )
 from .graphs import Graph, delete_vertex, induced_subgraph, pivot
-from .io import to_graph6
+from .io import from_graph6, to_graph6
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,15 @@ def steps_to_json(steps: Iterable[Step]) -> list[dict]:
     return out
 
 
+def _json_ints(values: list, field: str) -> tuple[int, ...]:
+    for x in values:
+        # bool is a subclass of int, and a float or a string is no label
+        if type(x) is not int:
+            raise ValueError(f"malformed certificate: {field} holds {x!r}, "
+                             "not a JSON integer")
+    return tuple(values)
+
+
 def steps_from_json(data: Sequence[dict]) -> list[Step]:
     steps: list[Step] = []
     for i, obj in enumerate(data):
@@ -95,9 +105,9 @@ def steps_from_json(data: Sequence[dict]) -> list[Step]:
             raise ValueError(f"step {i}: not an object")
         op = obj.get("op")
         if op == "pivot":
-            steps.append(PivotEdge(int(obj["u"]), int(obj["v"])))
+            steps.append(PivotEdge(*_json_ints([obj["u"], obj["v"]], f"step {i}")))
         elif op == "delete":
-            steps.append(DeleteVertex(int(obj["v"])))
+            steps.append(DeleteVertex(*_json_ints([obj["v"]], f"step {i}")))
         else:
             raise ValueError(f"step {i}: unknown op {op!r}")
     return steps
@@ -165,33 +175,34 @@ CERTIFICATE_VERSION = 2
 class Certificate:
     """A replayable witness that a graph contains a target pivot-minor."""
 
-    input_graph6: str
+    input: Graph
     vertices: tuple[int, ...]
     steps: tuple[Step, ...]
     target_map: tuple[int, ...]
     obstruction_name: str | None
-    obstruction_graph6: str
-    target_graph6: str
+    obstruction: Graph
+    target: Graph
 
     def to_json(self) -> dict:
         from . import __version__
 
+        input_graph6 = to_graph6(self.input)
         return {
             "format": "pivot-minor-certificate",
             "version": CERTIFICATE_VERSION,
             "tool": {"name": "pivotminors", "version": __version__},
             "input": {
-                "graph6": self.input_graph6,
-                "sha256": hashlib.sha256(self.input_graph6.encode()).hexdigest(),
+                "graph6": input_graph6,
+                "sha256": hashlib.sha256(input_graph6.encode()).hexdigest(),
             },
             "vertices": list(self.vertices),
             "steps": steps_to_json(self.steps),
             "target_map": list(self.target_map),
             "obstruction": {
                 "name": self.obstruction_name,
-                "graph6": self.obstruction_graph6,
+                "graph6": to_graph6(self.obstruction),
             },
-            "target": {"graph6": self.target_graph6},
+            "target": {"graph6": to_graph6(self.target)},
         }
 
     def dumps(self) -> str:
@@ -208,23 +219,31 @@ class Certificate:
                 f"certificate format version {version!r} is not supported; "
                 f"this reader takes version {CERTIFICATE_VERSION}"
             )
-        for name, kind in (("input", dict), ("vertices", list), ("steps", list),
-                           ("target_map", list), ("obstruction", dict),
-                           ("target", dict)):
-            if not isinstance(data.get(name, kind()), kind):
+        for name in ("vertices", "steps", "target_map"):
+            if not isinstance(data.get(name), list):
                 raise ValueError(f"certificate field {name!r} must be a JSON "
-                                 f"{'object' if kind is dict else 'array'}")
+                                 "array")
+        graphs = {}
+        for name in ("input", "obstruction", "target"):
+            part = data.get(name)
+            text = part.get("graph6") if isinstance(part, dict) else None
+            if not isinstance(text, str):
+                raise ValueError(f"certificate field {name!r} must be a JSON "
+                                 "object with a graph6 string")
+            if (name == "input" and part.get("sha256")
+                    != hashlib.sha256(text.encode()).hexdigest()):
+                raise ValueError("malformed certificate: the input's sha256 "
+                                 "does not match its graph6")
+            graphs[name] = from_graph6(text)
         try:
             return cls(
-                input_graph6=data["input"]["graph6"],
-                vertices=tuple(int(v) for v in data["vertices"]),
+                vertices=_json_ints(data["vertices"], "'vertices'"),
                 steps=tuple(steps_from_json(data["steps"])),
-                target_map=tuple(int(v) for v in data["target_map"]),
-                obstruction_name=data.get("obstruction", {}).get("name"),
-                obstruction_graph6=data.get("obstruction", {}).get("graph6", ""),
-                target_graph6=data.get("target", {}).get("graph6", ""),
+                target_map=_json_ints(data["target_map"], "'target_map'"),
+                obstruction_name=data["obstruction"].get("name"),
+                **graphs,
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"malformed certificate: {exc!r}") from None
 
     @classmethod
@@ -241,13 +260,13 @@ def build_certificate(
     obstruction_name: str | None = None,
 ) -> Certificate:
     return Certificate(
-        input_graph6=to_graph6(g),
+        input=g,
         vertices=tuple(vertices),
         steps=tuple(steps),
         target_map=tuple(target_map),
         obstruction_name=obstruction_name,
-        obstruction_graph6=to_graph6(induced_subgraph(g, vertices)),
-        target_graph6=to_graph6(target),
+        obstruction=induced_subgraph(g, vertices),
+        target=target,
     )
 
 
@@ -271,13 +290,13 @@ def verify_certificate(g: Graph, cert: Certificate, target: Graph) -> Verificati
     def fail(reason: str, step: int | None = None) -> VerificationResult:
         return VerificationResult(False, step, reason)
 
-    if cert.input_graph6 != to_graph6(g):
+    if cert.input != g:
         return fail("certificate was issued for a different input graph")
     vs = cert.vertices
     if len(set(vs)) != len(vs) or any(not 0 <= v < g.n for v in vs):
         return fail("vertex subset is not a set of input vertices")
     cur = induced_subgraph(g, vs)
-    if to_graph6(cur) != cert.obstruction_graph6:
+    if cur != cert.obstruction:
         return fail("induced subgraph does not match the claimed obstruction")
     try:
         cur = apply_sequence(cur, cert.steps)
@@ -288,7 +307,7 @@ def verify_certificate(g: Graph, cert: Certificate, target: Graph) -> Verificati
     phi = cert.target_map
     if sorted(phi) != list(range(target.n)):
         return fail("target map is not a bijection")
-    if to_graph6(target) != cert.target_graph6:
+    if target != cert.target:
         return fail("certificate was issued for a different target")
     for a in range(cur.n):
         for b in range(a + 1, cur.n):

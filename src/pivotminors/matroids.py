@@ -57,7 +57,6 @@ class FundamentalGraph:
     edge_labels: tuple[tuple[int, int], ...]
     tree_edges: tuple[tuple[int, int], ...]
     cotree_edges: tuple[tuple[int, int], ...]
-    source_graph6: str
 
 
 def fundamental_graph(g: Graph, tree: list[tuple[int, int]] | None = None) -> FundamentalGraph:
@@ -90,7 +89,6 @@ def fundamental_graph(g: Graph, tree: list[tuple[int, int]] | None = None) -> Fu
         edge_labels=labels,
         tree_edges=tuple(tree),
         cotree_edges=tuple(cotree),
-        source_graph6=to_graph6(g),
     )
 
 

@@ -44,7 +44,6 @@ from .graphs import (
     Graph,
     _bits,
     bipartition,
-    complement,
     connected_components,
     induced_subgraph,
 )
@@ -214,32 +213,36 @@ def recognize_c3(g: Graph) -> RecognitionResult:
 
 # -- P4 and C4 ----------------------------------------------------------------
 
-def _is_clique(g: Graph, members: list[int]) -> bool:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return all(g.rows[v] & mask == mask & ~(1 << v) for v in members)
+def _twin_classes(rows: tuple[int, ...], mask: int, closed: bool) -> bool:
+    """Whether mask splits into classes of twins.  With closed, a class is
+    a vertex and its neighbours, each seeing the rest of the class: mask
+    induces disjoint cliques.  Without, a class is a vertex and its
+    non-neighbours, each seeing all of mask outside the class: mask
+    induces a complete multipartite graph."""
+    todo = mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        nb = rows[v] & mask
+        cls = nb | 1 << v if closed else mask & ~nb
+        if any(rows[u] & mask != (cls ^ 1 << u if closed else nb)
+               for u in _bits(cls)):
+            return False
+        todo &= ~cls
+    return True
 
 
-def _is_clique_star(sub: Graph) -> bool:
+def _is_clique_star(rows: tuple[int, ...], comp: int) -> bool:
     """Complete graph, or a clique joined completely to otherwise
     disconnected cliques."""
-    n = sub.n
-    full = (1 << n) - 1
-    universal = [v for v in range(n) if sub.rows[v] == full & ~(1 << v)]
-    if not universal:
-        return False
-    rest = [v for v in range(n) if v not in universal]
-    remainder = induced_subgraph(sub, rest)
-    return all(
-        _is_clique(remainder, comp) for comp in connected_components(remainder)
-    )
+    universal = sum(1 << v for v in _bits(comp)
+                    if rows[v] & comp == comp ^ 1 << v)
+    return universal != 0 and _twin_classes(rows, comp & ~universal, True)
 
 
 def _recognize_via_clique_stars(g: Graph, target_name: str) -> RecognitionResult:
     method = "clique-star decomposition"
     comps = connected_components(g)
-    if all(_is_clique_star(induced_subgraph(g, c)) for c in comps):
+    if all(_is_clique_star(g.rows, sum(1 << v for v in c)) for c in comps):
         return RecognitionResult(target_name, "free", method)
     result = _search_obstructions(g, _OBSTRUCTIONS["clique-star"],
                                   _NAMED[target_name], target_name, method)
@@ -265,8 +268,10 @@ def _recognize_via_bipartite_or_complete(
     method = "bipartite-or-complete decomposition"
     target = _NAMED[target_name]
     for comp in connected_components(g):
+        if _twin_classes(g.rows, sum(1 << v for v in comp), True):
+            continue  # complete
         sub = induced_subgraph(g, comp)
-        if _is_clique(sub, range(sub.n)) or bipartition(sub) is not None:
+        if bipartition(sub) is not None:
             continue
         cycle = _shortest_odd_cycle(sub)
         k = len(cycle)
@@ -301,32 +306,21 @@ def recognize_diamond(g: Graph) -> RecognitionResult:
 
 # -- 2P2 ----------------------------------------------------------------------
 
-def _is_leaf_attached_multipartite(sub: Graph) -> bool:
+def _is_leaf_attached_multipartite(rows: tuple[int, ...], comp: int) -> bool:
     """Connected graph with an edge: complete multipartite plus pendant
     leaves on singleton classes.
 
     Degree-one vertices are exactly the leaves except in P2, where both
     endpoints may be read as the core; that ambiguity is special-cased.
     """
-    leaves = [v for v in range(sub.n) if sub.degree(v) == 1]
-    core = [v for v in range(sub.n) if sub.degree(v) != 1]
+    leaves = sum(1 << v for v in _bits(comp) if rows[v].bit_count() == 1)
+    core = comp & ~leaves
     if not core:
-        return sub.n == 2  # every vertex has degree 1: the component is P2
-    csub = induced_subgraph(sub, core)
-    # complete multipartite iff the complement is a union of cliques
-    comp = complement(csub)
-    if not all(_is_clique(comp, c) for c in connected_components(comp)):
-        return False
-    cfull = (1 << csub.n) - 1
-    universal = {
-        core[i] for i in range(csub.n)
-        if csub.rows[i] == cfull & ~(1 << i)
-    }
-    for leaf in leaves:
-        nb = sub.rows[leaf].bit_length() - 1
-        if nb not in universal:
-            return False
-    return True
+        return comp.bit_count() == 2  # every vertex has degree 1: P2
+    universal = sum(1 << v for v in _bits(core)
+                    if rows[v] & core == core ^ 1 << v)
+    return (_twin_classes(rows, core, False)
+            and all(rows[leaf] & universal for leaf in _bits(leaves)))
 
 
 def recognize_2p2(g: Graph) -> RecognitionResult:
@@ -355,15 +349,15 @@ def recognize_2p2(g: Graph) -> RecognitionResult:
         return RecognitionResult(
             target_name, "free", "component structure", detail="no edges"
         )
-    sub = induced_subgraph(g, edged[0])
-    if sub.n <= 6:
+    if len(edged[0]) <= 6:
+        sub = induced_subgraph(g, edged[0])
         for host_name in ("prism", "W5"):
             if find_induced_embedding(sub, _NAMED[host_name]) is not None:
                 return RecognitionResult(
                     target_name, "free", "component structure",
                     detail=f"edged component embeds in the {host_name}",
                 )
-    if _is_leaf_attached_multipartite(sub):
+    if _is_leaf_attached_multipartite(g.rows, sum(1 << v for v in edged[0])):
         return RecognitionResult(
             target_name, "free", "component structure",
             detail="edged component is leaf-attached complete multipartite",

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -15,14 +16,20 @@ from pivotminors import (
     PivotMinorCache,
     apply_sequence,
     build_certificate,
+    complete_graph,
+    complete_multipartite,
     cycle_graph,
+    disjoint_union,
     find_pivot_minor_sequence,
     generate_all_graphs,
     induced_subgraph,
     is_isomorphic,
     named_graph,
+    path_graph,
     recognize,
+    to_graph6,
     verify_certificate,
+    wheel_graph,
 )
 from pivotminors import containment
 from pivotminors.certificates import SequenceError, steps_from_json, steps_to_json
@@ -142,9 +149,9 @@ def test_certificate_json_roundtrip(cache):
     g, cert = make_cert(cache)
     data = json.loads(cert.dumps())
     assert data["format"] == "pivot-minor-certificate"
-    assert data["input"]["graph6"] == cert.input_graph6
+    assert data["input"]["graph6"] == to_graph6(cert.input) == to_graph6(g)
     assert data["version"] == 2
-    assert data["obstruction"]["graph6"] == cert.obstruction_graph6
+    assert data["obstruction"]["graph6"] == to_graph6(cert.obstruction)
     again = Certificate.loads(cert.dumps())
     assert again == cert
     with pytest.raises(ValueError):
@@ -165,9 +172,7 @@ def test_certificate_rejects_wrong_input(cache):
 
 def test_certificate_rejects_tampered_vertices(cache):
     g, cert = make_cert(cache)
-    bad = Certificate(cert.input_graph6, (0, 1, 2, 3, 5), cert.steps,
-                      cert.target_map, cert.obstruction_name,
-                      cert.obstruction_graph6, cert.target_graph6)
+    bad = dataclasses.replace(cert, vertices=(0, 1, 2, 3, 5))
     outcome = verify_certificate(g, bad, named_graph("C3"))
     assert not outcome.ok
     assert "does not match the claimed obstruction" in outcome.reason
@@ -179,9 +184,7 @@ def test_certificate_rejects_tampered_step(cache):
     # find a pivot step and break it; C5 has no edge at distance 2
     idx = next(i for i, s in enumerate(steps) if isinstance(s, PivotEdge))
     steps[idx] = PivotEdge(0, 2)
-    bad = Certificate(cert.input_graph6, cert.vertices, tuple(steps),
-                      cert.target_map, cert.obstruction_name,
-                      cert.obstruction_graph6, cert.target_graph6)
+    bad = dataclasses.replace(cert, steps=tuple(steps))
     outcome = verify_certificate(g, bad, named_graph("C3"))
     assert not outcome.ok
     assert outcome.step == idx
@@ -190,9 +193,7 @@ def test_certificate_rejects_tampered_step(cache):
 def test_certificate_rejects_tampered_map(cache):
     g, cert = make_cert(cache)
     bad_map = (0, 0, 1)
-    bad = Certificate(cert.input_graph6, cert.vertices, cert.steps,
-                      bad_map, cert.obstruction_name,
-                      cert.obstruction_graph6, cert.target_graph6)
+    bad = dataclasses.replace(cert, target_map=bad_map)
     outcome = verify_certificate(g, bad, named_graph("C3"))
     assert not outcome.ok
     assert "bijection" in outcome.reason
@@ -261,3 +262,120 @@ def test_verifier_rejects_a_tampered_field(field, tamper, reason):
     outcome = verify_certificate(c7, tampered, target)
     assert not outcome.ok
     assert outcome.reason == reason
+
+
+# -- the JSON boundary ------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["float", "string", "bool"])
+@pytest.mark.parametrize("field", ["vertices", "target_map", "steps"])
+def test_loader_refuses_labels_that_are_not_json_integers(field, kind):
+    # int() reads 0.5 as 0, "0" as 0 and true as 1, so a loader that
+    # coerces lets C7's 2P2 certificate with every vertex moved by a half
+    # verify
+    c7 = cycle_graph(7)
+    data = recognize(c7, "2P2").certificate.to_json()
+    bad = {"float": lambda x: x + 0.5, "string": str, "bool": bool}[kind]
+    if field == "steps":
+        data["steps"] = [{"op": "delete", "v": bad(2)}]
+        name = "step 0"
+    else:
+        data[field] = [bad(x) for x in data[field]]
+        name = f"'{field}'"
+    with pytest.raises(ValueError, match=f"malformed certificate: {name} holds"):
+        Certificate.from_json(data)
+
+
+def test_loader_refuses_an_input_that_does_not_match_its_sha256():
+    c7 = cycle_graph(7)
+    data = recognize(c7, "2P2").certificate.to_json()
+    data["input"]["graph6"] = to_graph6(path_graph(7))
+    with pytest.raises(ValueError, match="sha256 does not match"):
+        Certificate.from_json(data)
+    del data["input"]["sha256"]
+    with pytest.raises(ValueError, match="sha256 does not match"):
+        Certificate.from_json(data)
+
+
+@pytest.mark.parametrize("field", ["input", "obstruction", "target"])
+def test_loader_refuses_a_missing_or_broken_graph6(field):
+    data = recognize(cycle_graph(7), "2P2").certificate.to_json()
+    del data[field]["graph6"]
+    with pytest.raises(ValueError, match=f"'{field}' must be a JSON object "
+                       "with a graph6 string"):
+        Certificate.from_json(data)
+    data[field]["graph6"] = "C~~"  # body one byte too long
+    data["input"]["sha256"] = hashlib.sha256(
+        data["input"]["graph6"].encode()).hexdigest()
+    with pytest.raises(ValueError, match="graph6 body has 2 bytes, expected 1"):
+        Certificate.from_json(data)
+
+
+def large_inputs():
+    rng = random.Random(19)
+    tree = Graph(64, [(rng.randrange(v), v) for v in range(1, 64)])
+    return {"C63": cycle_graph(63), "W63": wheel_graph(63),
+            "K(2^32)": complete_multipartite([2] * 32), "T64": tree,
+            "2K32": disjoint_union(complete_graph(32), complete_graph(32))}
+
+
+RECOGNIZER_TARGETS = ("C3", "P4", "C4", "paw", "diamond", "2P2", "3P1", "claw")
+# sha256 over one line per (input of large_inputs, target): verdict,
+# obstruction name and the certificate's dumps() text without its "tool"
+# field, or null.  It pins the JSON of graphs past graph6's one-byte size
+# header, which RECOGNIZER_DIGEST (at most 6 vertices) never reaches.
+LARGE_CERTIFICATE_DIGEST = (
+    "297caf3c1b07f13a80451a12c2d143c1c2c791a07c5c75eb0a834ba29e251c56"
+)
+
+
+@pytest.fixture(scope="module")
+def large_results():
+    return [(name, g, t, recognize(g, t))
+            for name, g in large_inputs().items() for t in RECOGNIZER_TARGETS]
+
+
+def test_large_certificates_are_pinned(large_results):
+    lines = []
+    for name, _, t, res in large_results:
+        text = "null"
+        if res.certificate is not None:
+            data = json.loads(res.certificate.dumps())
+            del data["tool"]
+            text = json.dumps(data, indent=2)
+        lines.append(f"{name}\t{t}\t{res.verdict}\t{res.obstruction_name}"
+                     f"\t{text}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == LARGE_CERTIFICATE_DIGEST
+
+
+def test_large_certificates_load_back(large_results):
+    # graph6 writes an order of 63 or more as '~' and three size bytes
+    certs = [(g, res) for _, g, _, res in large_results if res.contains]
+    assert len(certs) == 30
+    for g, res in certs:
+        assert to_graph6(g).startswith("~")
+        again = Certificate.loads(res.certificate.dumps())
+        assert again == res.certificate
+        assert verify_certificate(g, again, named_graph(res.target)).ok
+
+
+def test_certificates_use_graph6_only_at_the_json_boundary(cache, monkeypatch):
+    # building and verifying compare labelled graphs; only to_json and
+    # from_json encode or decode graph6
+    from pivotminors import certificates
+
+    def broken(*args, **kwargs):
+        raise AssertionError("graph6 used outside to_json and from_json")
+
+    for name in ("to_graph6", "from_graph6"):
+        monkeypatch.setattr(certificates, name, broken)
+    g, cert = make_cert(cache)
+    assert verify_certificate(g, cert, named_graph("C3")).ok
+    for g in large_inputs().values():
+        for t in RECOGNIZER_TARGETS:
+            res = recognize(g, t)
+            if res.contains:
+                outcome = verify_certificate(g, res.certificate, named_graph(t))
+                assert outcome.ok, outcome.reason
+    with pytest.raises(AssertionError, match="graph6 used"):
+        cert.to_json()

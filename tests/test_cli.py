@@ -335,6 +335,23 @@ def test_verify_names_the_malformed_certificate_field(tmp_path, capsys,
     assert err.startswith("error:") and named in err, err
 
 
+def test_verify_refuses_labels_that_are_not_json_integers(tmp_path, capsys):
+    # int() reads these labels as the original ones, so a loader that
+    # coerces prints VALID for C7's 2P2 certificate moved by a half
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "recognize", "--target", "2P2", "--in", "C7",
+        "--emit-cert", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    data["vertices"] = [v + 0.5 for v in data["vertices"]]
+    data["target_map"] = [str(x) for x in data["target_map"]]
+    cert_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", "C7",
+                         "--cert", str(cert_path), "--h", "2P2")
+    assert code == EXIT_USAGE == 1
+    assert "VALID" not in out
+    assert "'vertices' holds 0.5, not a JSON integer" in err, err
+
+
 def test_recognize_rejects_a_list_manifest(tmp_path, capsys):
     out_dir = tmp_path / "obs"
     run(capsys, "mine", "--h", "2P1", "--nmax", "3", "--out", str(out_dir))

@@ -11,12 +11,15 @@ from pivotminors import (
     Graph,
     Verdict,
     clique_star,
+    complement,
     complete_graph,
     complete_multipartite,
+    connected_components,
     contains_pivot_minor,
     cycle_graph,
     disjoint_union,
     generate_all_graphs,
+    induced_subgraph,
     is_bipartite,
     is_minimal_obstruction,
     leaf_attached_multipartite,
@@ -290,7 +293,7 @@ def test_recognize_bounded_finds_a_member_sequence_once(monkeypatch, cache):
     for host in (path_graph(3), cycle_graph(4)):
         res = recognize_bounded(host, "tP1", 2, obs, cache=cache)
         assert_certified(res, host, Graph(2))
-        found.append(res.certificate.obstruction_graph6)
+        found.append(res.certificate.obstruction)
     assert found[0] == found[1]
     assert len(calls) == 1
 
@@ -447,3 +450,102 @@ def test_obstruction_name_is_the_certificates(small_results):
     assert contains
     for res in contains:
         assert res.obstruction_name == res.certificate.obstruction_name
+
+
+# -- the structure tests against their former subgraph versions ------------
+
+def reference_is_clique(g, members):
+    mask = 0
+    for v in members:
+        mask |= 1 << v
+    return all(g.rows[v] & mask == mask & ~(1 << v) for v in members)
+
+
+def reference_is_clique_star(sub):
+    """Complete graph, or a clique joined completely to otherwise
+    disconnected cliques."""
+    n = sub.n
+    full = (1 << n) - 1
+    universal = [v for v in range(n) if sub.rows[v] == full & ~(1 << v)]
+    if not universal:
+        return False
+    rest = [v for v in range(n) if v not in universal]
+    remainder = induced_subgraph(sub, rest)
+    return all(
+        reference_is_clique(remainder, comp)
+        for comp in connected_components(remainder)
+    )
+
+
+def reference_is_leaf_attached_multipartite(sub):
+    """Connected graph with an edge: complete multipartite plus pendant
+    leaves on singleton classes.
+
+    Degree-one vertices are exactly the leaves except in P2, where both
+    endpoints may be read as the core; that ambiguity is special-cased.
+    """
+    leaves = [v for v in range(sub.n) if sub.degree(v) == 1]
+    core = [v for v in range(sub.n) if sub.degree(v) != 1]
+    if not core:
+        return sub.n == 2  # every vertex has degree 1: the component is P2
+    csub = induced_subgraph(sub, core)
+    # complete multipartite iff the complement is a union of cliques
+    comp = complement(csub)
+    if not all(reference_is_clique(comp, c) for c in connected_components(comp)):
+        return False
+    cfull = (1 << csub.n) - 1
+    universal = {
+        core[i] for i in range(csub.n)
+        if csub.rows[i] == cfull & ~(1 << i)
+    }
+    for leaf in leaves:
+        nb = sub.rows[leaf].bit_length() - 1
+        if nb not in universal:
+            return False
+    return True
+
+
+def _flip(g, rng):
+    """g with one random vertex pair toggled."""
+    u, v = sorted(rng.sample(range(g.n), 2))
+    return Graph(g.n, set(g.edges()) ^ {(u, v)})
+
+
+def test_structure_tests_match_their_subgraph_versions():
+    """The mask tests on the input's rows answer as the former tests did
+    on a copy of each component: every class on at most 8 vertices, and
+    relabelled 64-vertex members of the recognize-mix families, each also
+    with one vertex pair flipped."""
+    rng = random.Random(19)
+    graphs = [g for n in range(9) for g in generate_all_graphs(n)]
+    large = [clique_star(8, [8] * 7), clique_star(1, [3] * 21),
+             clique_star(4, [6] * 10), complete_multipartite([2] * 32),
+             complete_multipartite([1] * 52 + [3] * 4),
+             complete_multipartite([4] * 16), complete_graph(64),
+             leaf_attached_multipartite([1, 1, 1, 3, 5, 7, 9], {0: 20, 2: 17}),
+             leaf_attached_multipartite([1] * 8 + [2] * 6, {3: 44}),
+             disjoint_union(complete_graph(32), complete_graph(32)),
+             disjoint_union(complete_graph(20), complete_graph(44))]
+    large += [Graph(64, [(rng.randrange(v), v) for v in range(1, 64)])
+              for _ in range(4)]
+    for g in large:
+        for h in (g, _flip(g, rng), _flip(_flip(g, rng), rng)):
+            graphs += [_relabelled(h, rng) for _ in range(3)]
+    seen = {}
+    for g in graphs:
+        for comp in connected_components(g):
+            sub = induced_subgraph(g, comp)
+            mask = sum(1 << v for v in comp)
+            star = recognizers._is_clique_star(g.rows, mask)
+            assert star == reference_is_clique_star(sub), (g, comp)
+            lam = recognizers._is_leaf_attached_multipartite(g.rows, mask)
+            assert lam == reference_is_leaf_attached_multipartite(sub), (g, comp)
+            clique = recognizers._twin_classes(g.rows, mask, True)
+            assert clique == reference_is_clique(sub, range(sub.n)), (g, comp)
+            key = (star, lam, clique, sub.n > 8)
+            seen[key] = seen.get(key, 0) + 1
+    # every outcome of each test shows up, on large components too
+    for large_component in (False, True):
+        for i in range(3):
+            assert {k[i] for k in seen if k[3] == large_component} == {
+                False, True}
