@@ -214,7 +214,8 @@ class Certificate:
                 or data.get("format") != "pivot-minor-certificate"):
             raise ValueError("not a pivot-minor certificate")
         version = data.get("version")
-        if version != CERTIFICATE_VERSION:
+        # 2.0 == 2, so only the type tells a float version from this one
+        if type(version) is not int or version != CERTIFICATE_VERSION:
             raise ValueError(
                 f"certificate format version {version!r} is not supported; "
                 f"this reader takes version {CERTIFICATE_VERSION}"
@@ -235,12 +236,16 @@ class Certificate:
                 raise ValueError("malformed certificate: the input's sha256 "
                                  "does not match its graph6")
             graphs[name] = from_graph6(text)
+        name = data["obstruction"].get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"malformed certificate: 'obstruction' name holds "
+                             f"{name!r}, not a JSON string or null")
         try:
             return cls(
                 vertices=_json_ints(data["vertices"], "'vertices'"),
                 steps=tuple(steps_from_json(data["steps"])),
                 target_map=_json_ints(data["target_map"], "'target_map'"),
-                obstruction_name=data["obstruction"].get("name"),
+                obstruction_name=name,
                 **graphs,
             )
         except KeyError as exc:

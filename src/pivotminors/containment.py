@@ -28,13 +28,14 @@ heuristic: a search that answers TRUE stops at its first TRUE child, and
 a child that keeps high degrees has the most left to hold the target.  A
 search that answers FALSE visits every child whatever the order.
 
-A bipartite node is FALSE, before any child is computed, unless each
-component of h is bipartite, with sides p <= q, and fits into a component
-of the node, with sides a <= b: p <= a and q <= b.  This is exact.
-Pivoting an edge of a bipartite graph swaps its ends between the sides,
-so every component keeps its vertex set and side sizes, and a deletion
-only shrinks a side: a connected pivot-minor lies in one component, with
-sides no larger.  The |h| + 2 level drops such reductions unsettled.
+A bipartite graph is FALSE unless each component of h is bipartite, with
+sides p <= q, and fits into a component of the graph, with sides a <= b:
+p <= a and q <= b.  This is exact.  Pivoting an edge of a bipartite graph
+swaps its ends between the sides, so every component keeps its vertex set
+and side sizes, and a deletion only shrinks a side: a connected
+pivot-minor lies in one component, with sides no larger.  The rule
+screens every labelled graph, the input too, before it is canonicalised,
+so a bipartite input without room is FALSE whatever its order.
 
 The target's pivot orbit is the only resource limit.  Pivoting an edge
 is a principal pivot transform of the adjacency matrix over GF(2), so
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .canon import cache_insert, canonical_form
 from .graphs import (
@@ -194,10 +195,11 @@ class PivotMinorCache:
     Every key and value is a canonical form (see canon.canonical_form).
     verdicts maps (g form, h form) to a bool; children maps a form to the
     forms of all its one-vertex reductions (deletions and contract-pivots),
-    richest first (see child_keys).  A query for h stores children only
-    for nodes on |h| + 3 or more vertices, as it settles the last two
-    levels on labelled graphs; a node on |h| + 2 vertices reads children
-    stored earlier, say by a query for a smaller target, and stores none.
+    richest first (see child_keys), stored only when complete, so it
+    holds for any target.  A query for h stores children only for
+    nodes on |h| + 3 or more vertices, as it settles the last two levels
+    on labelled graphs; a node on |h| + 2 vertices reads children stored
+    earlier, say by a query for a smaller target, and stores none.
     target_orbits maps a form to the forms in its pivot orbit and their
     degree sequences, or to None when the orbit has more than ORBIT_LIMIT
     labelled members.  Each table is bounded by canon.CACHE_CAP, and a
@@ -211,19 +213,27 @@ class PivotMinorCache:
         self.hits = 0
         self.misses = 0
 
-    def child_keys(self, g: Graph) -> tuple[Graph, ...]:
-        """The reductions of the canonical form g, richest first: by
+    def child_keys(self, g: Graph,
+                   keep: Callable[[Graph], bool] = lambda r: True
+                   ) -> tuple[Graph, ...]:
+        """The forms of the reductions of the canonical form g that pass
+        keep, a test of the class run before labelling, richest first: by
         degree sequence in descending order, largest first, then by rows.
 
-        The search stops at the first TRUE child, so this order sets how
-        much of a TRUE search is explored; it does not depend on the
-        target.  A form lists its vertices by ascending degree
-        (canon.cell_keys), so its reversed rows give the sequence."""
+        Only a list that keep did not cut is stored, and a stored list is
+        filtered by keep when read.  The search stops at the first TRUE
+        child, so this order sets how much of a TRUE search is explored;
+        it does not depend on the target.  A form lists its vertices by
+        ascending degree (canon.cell_keys), so its reversed rows give the
+        sequence."""
         kids = self.children.get(g)
-        if kids is None:
-            forms = {canonical_form(r) for _, _, r in _reductions(g)}
-            kids = tuple(sorted(forms, key=lambda f: (
-                tuple(-r.bit_count() for r in reversed(f.rows)), f.rows)))
+        if kids is not None:
+            return tuple(filter(keep, kids))
+        reds = [r for _, _, r in _reductions(g)]
+        kept = list(filter(keep, reds))
+        kids = tuple(sorted({canonical_form(r) for r in kept}, key=lambda f: (
+            tuple(-r.bit_count() for r in reversed(f.rows)), f.rows)))
+        if len(kept) == len(reds):
             cache_insert(self.children, g, kids)
         return kids
 
@@ -284,15 +294,17 @@ def contains_pivot_minor(
         return have is None or need is not None and all(
             any(p <= a and q <= b for a, b in have) for p, q in need)
 
+    if not room(g):
+        return Verdict.FALSE
+
     def rec(cur: Graph) -> bool:
+        # cur has room: every graph is screened before it is labelled
         found = verdicts.get((cur, th))
         if found is not None:
             cache.hits += 1
             return found
         cache.misses += 1
-        if not room(cur):
-            found = False
-        elif cur.n == th.n + 1:
+        if cur.n == th.n + 1:
             found = _settle_last(cur, orbit, degrees, sizes)
         elif cur.n == th.n + 2 and cur not in cache.children:
             # a verdict on |h| + 1 vertices depends only on the class, so
@@ -300,7 +312,7 @@ def contains_pivot_minor(
             found = any(_settle_last(r, orbit, degrees, sizes)
                         for _, _, r in _reductions(cur) if room(r))
         else:
-            found = any(rec(kid) for kid in cache.child_keys(cur))
+            found = any(rec(kid) for kid in cache.child_keys(cur, room))
         cache_insert(verdicts, (cur, th), found)
         return found
 

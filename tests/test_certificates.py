@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -283,6 +284,36 @@ def test_loader_refuses_labels_that_are_not_json_integers(field, kind):
         name = f"'{field}'"
     with pytest.raises(ValueError, match=f"malformed certificate: {name} holds"):
         Certificate.from_json(data)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("version", 2.0, "version 2.0 is not supported"),
+    ("version", "2", "version '2' is not supported"),
+    ("version", True, "version True is not supported"),
+    ("name", ["x"], "'obstruction' name holds ['x']"),
+    ("name", 2, "'obstruction' name holds 2"),
+    ("name", {"x": 1}, "'obstruction' name holds {'x': 1}"),
+], ids=["version-float", "version-string", "version-bool", "name-list",
+        "name-int", "name-object"])
+def test_loader_refuses_a_version_or_name_of_another_json_type(
+        field, value, named):
+    # 2.0 == 2, so a loader that compares values reads C7's 2P2
+    # certificate with a float version as VALID, and one that stores the
+    # name whatever its type hands ["x"] on as the obstruction's name
+    data = recognize(cycle_graph(7), "2P2").certificate.to_json()
+    honest = data["obstruction"]["name"]
+    assert isinstance(honest, str)
+    assert Certificate.from_json(data).obstruction_name == honest
+    if field == "version":
+        data["version"] = value
+    else:
+        data["obstruction"]["name"] = value
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Certificate.from_json(data)
+    # a null name still loads
+    data["version"] = 2
+    data["obstruction"]["name"] = None
+    assert Certificate.from_json(data).obstruction_name is None
 
 
 def test_loader_refuses_an_input_that_does_not_match_its_sha256():

@@ -352,6 +352,35 @@ def test_verify_refuses_labels_that_are_not_json_integers(tmp_path, capsys):
     assert "'vertices' holds 0.5, not a JSON integer" in err, err
 
 
+def test_verify_refuses_a_float_version(tmp_path, capsys):
+    # 2.0 == 2, so a loader that compares values prints VALID for C7's
+    # 2P2 certificate with a float version
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "recognize", "--target", "2P2", "--in", "C7",
+        "--emit-cert", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    data["version"] = 2.0
+    cert_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--in", "C7",
+                         "--cert", str(cert_path), "--h", "2P2")
+    assert code == EXIT_USAGE == 1
+    assert "VALID" not in out
+    assert "version 2.0 is not supported" in err, err
+
+
+def test_contains_answers_a_bipartite_host_without_room_above_the_cap(
+        capsys):
+    # C64 is bipartite and C3 is not, so the side rule answers before the
+    # host is canonicalised; P4's sides (2, 2) fit into C64's (32, 32), so
+    # that query needs the host's canonical form and meets the cap
+    code, out, err = run(capsys, "contains", "--g", "C64", "--h", "C3")
+    assert (code, out, err) == (EXIT_OK, "false\n", "")
+    code, out, err = run(capsys, "contains", "--g", "C64", "--h", "P4")
+    assert code == EXIT_USAGE == 1
+    assert out == ""
+    assert "canonical form capped at 16 vertices, got 64" in err, err
+
+
 def test_recognize_rejects_a_list_manifest(tmp_path, capsys):
     out_dir = tmp_path / "obs"
     run(capsys, "mine", "--h", "2P1", "--nmax", "3", "--out", str(out_dir))

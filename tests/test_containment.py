@@ -41,6 +41,7 @@ from pivotminors import (
     star_graph,
 )
 from pivotminors import canon, containment
+from pivotminors.graphs import component_sides
 
 
 def definition_closure(g):
@@ -182,6 +183,60 @@ def test_side_rule_is_exact():
     assert not cache.children
 
 
+def side_sizes(g):
+    comps = component_sides(g)
+    return None if comps is None else [
+        sorted((a.bit_count(), b.bit_count())) for a, b in comps]
+
+
+def has_room(g, h):
+    """Is g not bipartite, or does each component of h fit into one of
+    g's by side sizes?  Only such a graph can hold h as a pivot-minor."""
+    have, need = side_sizes(g), side_sizes(h)
+    return have is None or need is not None and all(
+        any(p <= a and q <= b for a, b in have) for p, q in need)
+
+
+def assert_children_complete(cache):
+    # a stored tuple lists the form of every reduction of its node, so a
+    # later query, for whatever target, reads no list cut to another's
+    for g, kids in cache.children.items():
+        assert len(kids) == len(set(kids)), canonical_key(g)
+        assert set(kids) == labelled_reduction_forms(g), canonical_key(g)
+
+
+def test_nothing_without_room_is_canonicalised(monkeypatch):
+    # the sweep of test_side_rule_is_exact, each target on a fresh cache
+    # and on one shared cache.  The side rule screens every labelled graph
+    # before it is canonicalised, at the root and at every level, so a
+    # graph on more than |h| vertices reaches canonical_form only if it
+    # has room for h
+    seen = []
+
+    def spy(g):
+        seen.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(containment, "canonical_form", spy)
+    shared = PivotMinorCache()
+    hosts = [g for n in range(1, 9) for g in generate_all_graphs(n)
+             if n == 6 or is_bipartite(g)]
+    names = ["C3", "3P1", "P4", "C4", "paw", "2P2", "claw", "K1,4", "P5",
+             "K1,5"]
+    for name in names:
+        h = named_graph(name)
+        fresh = PivotMinorCache()
+        for g in hosts:
+            for cache in (fresh, shared):
+                contains_pivot_minor(g, h, cache=cache)
+        above = [g for g in seen if g.n > h.n]
+        assert above, name
+        assert all(has_room(g, h) for g in above), name
+        seen.clear()
+    assert shared.children
+    assert_children_complete(shared)
+
+
 def test_screened_reductions_compute_degrees_from_rows():
     # asked for one degree sequence and its edge count, the screen must
     # yield exactly the reductions that have it, in _reductions order.
@@ -234,7 +289,12 @@ def test_last_level_canonicalises_only_screened_reductions(monkeypatch):
     last = [g.degree_sequence() for g in seen if g.n == star.n]
     assert last and set(last) <= degrees
     assert not [g for g in seen if g.n == star.n + 1]
-    assert cache.children
+    # the 9-vertex root drops a reduction with no room for K1,5, so it
+    # stores no partial list, and each graph canonicalised above 7
+    # vertices, the root and its kept reductions, has room
+    above = [g for g in seen if g.n > star.n + 1]
+    assert above and all(has_room(g, star) for g in above)
+    assert_children_complete(cache)
     assert all(g.n > star.n + 2 for g in cache.children)
 
     # on a warm cache, a node on 8 vertices whose children are stored
