@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .canon import canonical_key
+from .canon import _check_order, canonical_key
 from .catalog import is_named_graph, named_graph
 from .certificates import Certificate, find_pivot_minor_sequence, steps_to_json, verify_certificate
 from .containment import OrbitLimitError, contains_pivot_minor, pivot_orbit
@@ -93,6 +93,9 @@ def _cmd_pivot(args) -> int:
 
 def _cmd_orbit(args) -> int:
     g = load_graph_arg(args.input)
+    # the classes are listed by canonical_key, so refuse a graph above its
+    # cap before enumerating the orbit
+    _check_order(g)
     try:
         orbit = pivot_orbit(g)
     except OrbitLimitError as exc:

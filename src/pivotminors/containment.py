@@ -10,20 +10,19 @@ triples as steps, so a certificate holds exactly the search's reductions.
 At |g| == |h| the query compares canonical forms with the target's pivot
 orbit, enumerated once, so the recursion sees only nodes above |h|.
 
-The last two levels are settled on labelled graphs.  A graph on |h| + 1
-vertices (_settle_last) computes the edge count and degree sequence of
-each reduction from its rows, and builds and canonicalises only those
-that match an orbit form (no other can be in the orbit), stopping at the
-first in the orbit.  A node on |h| + 2 vertices hands its labelled
-reductions to _settle_last without canonicalising or storing them, since
-a verdict on |h| + 1 vertices depends only on the class; it memoises its
-own verdict.  When the cache holds the node's children, stored by a
-query for a smaller target, it reads those instead, as a sweep of many
-hosts against one target meets the same classes again and again.
+The search labels lazily.  The children of a node are the labelled
+reductions of its canonical form (PivotMinorCache.child_keys), which no
+target cuts, so one stored list serves every target.  A child is
+screened by the side rule when the search reaches it, and labelled only
+if the rule passes it; its form keys the verdict memo, so the search does
+not depend on how the input is labelled.  A graph on |h| + 1 vertices is
+not labelled at all (_settle_last): it computes the edge count and degree
+sequence of each reduction from its rows, and builds and canonicalises
+only those that match an orbit form (no other can be in the orbit),
+stopping at the first in the orbit.  Its verdict depends only on its
+class and is not memoised.
 
-Every node above the last level is a canonical form, so the search does
-not depend on how the input is labelled.  Above |h| + 2 it tries the
-children of a node richest first, by descending degree sequence, as a
+Children are tried richest first, by descending degree sequence, as a
 heuristic: a search that answers TRUE stops at its first TRUE child, and
 a child that keeps high degrees has the most left to hold the target.  A
 search that answers FALSE visits every child whatever the order.
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .canon import cache_insert, canonical_form
 from .graphs import (
@@ -192,14 +191,11 @@ def _settle_last(g: Graph, orbit: frozenset, degrees: frozenset,
 class PivotMinorCache:
     """Shared memo for containment queries.
 
-    Every key and value is a canonical form (see canon.canonical_form).
-    verdicts maps (g form, h form) to a bool; children maps a form to the
-    forms of all its one-vertex reductions (deletions and contract-pivots),
-    richest first (see child_keys), stored only when complete, so it
-    holds for any target.  A query for h stores children only for
-    nodes on |h| + 3 or more vertices, as it settles the last two levels
-    on labelled graphs; a node on |h| + 2 vertices reads children stored
-    earlier, say by a query for a smaller target, and stores none.
+    verdicts maps (g form, h form) to a bool, where forms are canonical
+    (see canon.canonical_form).  children maps a form to the labelled
+    graphs of all its one-vertex reductions (deletions and
+    contract-pivots), richest first (see child_keys); no target cuts
+    them, so a list stored by one query serves every later one.
     target_orbits maps a form to the forms in its pivot orbit and their
     degree sequences, or to None when the orbit has more than ORBIT_LIMIT
     labelled members.  Each table is bounded by canon.CACHE_CAP, and a
@@ -213,27 +209,20 @@ class PivotMinorCache:
         self.hits = 0
         self.misses = 0
 
-    def child_keys(self, g: Graph,
-                   keep: Callable[[Graph], bool] = lambda r: True
-                   ) -> tuple[Graph, ...]:
-        """The forms of the reductions of the canonical form g that pass
-        keep, a test of the class run before labelling, richest first: by
-        degree sequence in descending order, largest first, then by rows.
+    def child_keys(self, g: Graph) -> tuple[Graph, ...]:
+        """The labelled one-vertex reductions of the canonical form g,
+        richest first: by degree sequence in descending order, largest
+        first, ties in _reductions order.
 
-        Only a list that keep did not cut is stored, and a stored list is
-        filtered by keep when read.  The search stops at the first TRUE
-        child, so this order sets how much of a TRUE search is explored;
-        it does not depend on the target.  A form lists its vertices by
-        ascending degree (canon.cell_keys), so its reversed rows give the
-        sequence."""
+        No target cuts the list, so one stored tuple serves every
+        target.  The search stops at the first TRUE child, so this order
+        sets how much of a TRUE search is explored; it does not depend on
+        the target."""
         kids = self.children.get(g)
-        if kids is not None:
-            return tuple(filter(keep, kids))
-        reds = [r for _, _, r in _reductions(g)]
-        kept = list(filter(keep, reds))
-        kids = tuple(sorted({canonical_form(r) for r in kept}, key=lambda f: (
-            tuple(-r.bit_count() for r in reversed(f.rows)), f.rows)))
-        if len(kept) == len(reds):
+        if kids is None:
+            kids = tuple(sorted((r for _, _, r in _reductions(g)),
+                                key=lambda r: r.degree_sequence()[::-1],
+                                reverse=True))
             cache_insert(self.children, g, kids)
         return kids
 
@@ -298,26 +287,21 @@ def contains_pivot_minor(
         return Verdict.FALSE
 
     def rec(cur: Graph) -> bool:
-        # cur has room: every graph is screened before it is labelled
-        found = verdicts.get((cur, th))
+        # cur is labelled and has room: every graph is screened before it
+        # is labelled, and one on |h| + 1 vertices is settled on its labels
+        if cur.n == th.n + 1:
+            return _settle_last(cur, orbit, degrees, sizes)
+        form = canonical_form(cur)
+        found = verdicts.get((form, th))
         if found is not None:
             cache.hits += 1
             return found
         cache.misses += 1
-        if cur.n == th.n + 1:
-            found = _settle_last(cur, orbit, degrees, sizes)
-        elif cur.n == th.n + 2 and cur not in cache.children:
-            # a verdict on |h| + 1 vertices depends only on the class, so
-            # the labelled reductions need no canonical form of their own
-            found = any(_settle_last(r, orbit, degrees, sizes)
-                        for _, _, r in _reductions(cur) if room(r))
-        else:
-            found = any(rec(kid) for kid in cache.child_keys(cur, room))
-        cache_insert(verdicts, (cur, th), found)
+        found = any(rec(r) for r in cache.child_keys(form) if room(r))
+        cache_insert(verdicts, (form, th), found)
         return found
 
-    fg = canonical_form(g)
-    found = fg in orbit if g.n == h.n else rec(fg)
+    found = canonical_form(g) in orbit if g.n == h.n else rec(g)
     return Verdict.TRUE if found else Verdict.FALSE
 
 

@@ -84,6 +84,21 @@ def test_orbit_json(capsys):
     assert canonical_key(named_graph("C5")) in data["classes"]
 
 
+def test_orbit_refuses_a_graph_above_the_cap_before_enumerating(
+        capsys, monkeypatch):
+    # W16 has 9,261 labelled orbit members, and listing their classes
+    # needs canonical forms, which stop at 16 vertices: the command must
+    # refuse the 17-vertex wheel without enumerating the orbit
+    def refuse(g):
+        raise AssertionError("pivot_orbit called")
+
+    monkeypatch.setattr(cli, "pivot_orbit", refuse)
+    code, out, err = run(capsys, "orbit", "--in", "W16")
+    assert code == EXIT_USAGE == 1
+    assert out == ""
+    assert "canonical form capped at 16 vertices, got 17" in err, err
+
+
 def test_graph_arguments_accept_files_and_literals(tmp_path, capsys):
     p = tmp_path / "g.g6"
     p.write_text(to_graph6(named_graph("C5")) + "\n")

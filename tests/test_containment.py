@@ -123,10 +123,9 @@ def reference_contains(g, h, memo):
 
 
 def test_last_level_screen_is_exact():
-    # each query twice: on a cache with no children below |h| + 3
-    # vertices, where a node on |h| + 2 settles its labelled reductions,
-    # and on a cache whose child_keys holds every class on 5 to 7
-    # vertices, where such a node reads its stored children
+    # each query twice: on a cache that stores only what the queries
+    # store, and on one whose child_keys held every class on 5 to 7
+    # vertices before any query, whose lists each query then reads
     memo = {}
     labelled = {3: PivotMinorCache(), 4: PivotMinorCache()}
     warmed = PivotMinorCache()
@@ -145,7 +144,8 @@ def test_last_level_screen_is_exact():
     for g in generate_all_graphs(6) + generate_all_graphs(7):
         for h in targets:
             check(g, h)
-    assert all(g.n > h_n + 2 for h_n, c in labelled.items() for g in c.children)
+    # a graph on |h| + 1 vertices is settled unlabelled and stores nothing
+    assert all(g.n > h_n + 1 for h_n, c in labelled.items() for g in c.children)
     cubic = [g for n in (4, 6, 8) for g in generate_all_graphs(n)
              if g.degree_sequence() == (3,) * n and is_connected(g)]
     assert len(cubic) == 8  # K4; K3,3 and the prism; five on 8 vertices
@@ -197,12 +197,25 @@ def has_room(g, h):
         any(p <= a and q <= b for a, b in have) for p, q in need)
 
 
+def assert_reductions_richest_first(g, kids):
+    # kids holds every labelled reduction of g, by descending degree
+    # sequence, ties in _reductions order
+    reds = [r for _, _, r in containment._reductions(g)]
+    assert len(kids) == len(reds), canonical_key(g)
+    seqs = [k.degree_sequence()[::-1] for k in kids]
+    assert all(a >= b for a, b in zip(seqs, seqs[1:])), canonical_key(g)
+    for seq in set(seqs):
+        assert [k for k in kids if k.degree_sequence()[::-1] == seq] == \
+            [r for r in reds if r.degree_sequence()[::-1] == seq], \
+            canonical_key(g)
+    assert {canonical_form(k) for k in kids} == labelled_reduction_forms(g)
+
+
 def assert_children_complete(cache):
-    # a stored tuple lists the form of every reduction of its node, so a
+    # a stored tuple holds every labelled reduction of its node, so a
     # later query, for whatever target, reads no list cut to another's
     for g, kids in cache.children.items():
-        assert len(kids) == len(set(kids)), canonical_key(g)
-        assert set(kids) == labelled_reduction_forms(g), canonical_key(g)
+        assert_reductions_richest_first(g, kids)
 
 
 def test_nothing_without_room_is_canonicalised(monkeypatch):
@@ -289,20 +302,20 @@ def test_last_level_canonicalises_only_screened_reductions(monkeypatch):
     last = [g.degree_sequence() for g in seen if g.n == star.n]
     assert last and set(last) <= degrees
     assert not [g for g in seen if g.n == star.n + 1]
-    # the 9-vertex root drops a reduction with no room for K1,5, so it
-    # stores no partial list, and each graph canonicalised above 7
-    # vertices, the root and its kept reductions, has room
+    # the 9-vertex root has a reduction with no room for K1,5, which is
+    # stored but never labelled: each graph canonicalised above 7
+    # vertices, the root and the reductions it reaches, has room
     above = [g for g in seen if g.n > star.n + 1]
     assert above and all(has_room(g, star) for g in above)
     assert_children_complete(cache)
-    assert all(g.n > star.n + 2 for g in cache.children)
+    assert all(g.n > star.n + 1 for g in cache.children)
 
-    # on a warm cache, a node on 8 vertices whose children are stored
-    # reads them, and its labelled reductions are not screened again
+    # on a warm cache, a node on 8 vertices settles the graphs of the
+    # list stored for its form before the query
     fg = canonical_form(fundamental_graph(named_graph("prism")).graph)
     cache = PivotMinorCache()
     for kid in cache.child_keys(fg):
-        cache.child_keys(kid)
+        cache.child_keys(canonical_form(kid))
     stored = {kid for kids in cache.children.values() for kid in kids}
     screened = []
     screen = containment._screened_reductions
@@ -335,12 +348,21 @@ def test_child_keys_are_the_reductions_richest_first():
     for n in range(1, 8):
         for g in generate_all_graphs(n):
             kids = cache.child_keys(g)
-            assert len(kids) == len(set(kids))
-            assert set(kids) == labelled_reduction_forms(g), canonical_key(g)
-            seqs = [tuple(sorted((r.bit_count() for r in k.rows), reverse=True))
-                    for k in kids]
-            assert all(a >= b for a, b in zip(seqs, seqs[1:])), \
-                canonical_key(g)
+            assert cache.children[g] is kids
+            assert_reductions_richest_first(g, kids)
+    # no target cuts a stored list, so it is the same whichever target
+    # was queried first
+    hosts = generate_all_graphs(6)
+    targets = [named_graph(name) for name in ("C3", "P4", "claw", "2P2")]
+    stored = []
+    for order in (targets, targets[::-1]):
+        queried = PivotMinorCache()
+        for h in order:
+            for g in hosts:
+                contains_pivot_minor(g, h, cache=queried)
+        stored.append(queried.children)
+    assert stored[0] and stored[0] == stored[1]
+    assert all(cache.children[g] == kids for g, kids in stored[0].items())
 
 
 def test_containment_is_monotone_under_extension(cache):

@@ -185,8 +185,9 @@ def test_reduction_roundtrip_prism(cache):
 def test_reduction_roundtrip_petersen_is_false(monkeypatch):
     # the reduction's FALSE side at n >= 5: a fresh cache, so the whole
     # 15-vertex query against K1,9 runs here.  The side rule drops every
-    # bipartite node with no room for K1,9, so the search stores at most
-    # 250 verdicts and runs at most 600 labelling searches (1,823 without)
+    # bipartite graph with no room for K1,9 before it is labelled, so the
+    # search stores 41 verdicts and runs 141 labelling searches (440 when
+    # the rule ran after labelling, 1,823 without it)
     searches = []
     search = canon._search
 
@@ -199,8 +200,8 @@ def test_reduction_roundtrip_petersen_is_false(monkeypatch):
     start = time.perf_counter()
     report = reduction_roundtrip(petersen_graph(), cache=cache)
     assert time.perf_counter() - start < 30
-    assert len(cache.verdicts) <= 250
-    assert len(searches) <= 600
+    assert len(cache.verdicts) <= 45
+    assert len(searches) <= 150
     assert report["target"] == "K1,9"
     assert report["contains_verdict"] == "false"
     assert report["hamiltonian"] is False
@@ -219,22 +220,37 @@ I?KqlR?oG I?KydF?oG I?LRCegp? I?LRCigo_
 """.split()
 
 
-def test_reduction_roundtrip_agrees_on_cubic_graphs_up_to_10():
+def test_reduction_roundtrip_agrees_on_cubic_graphs_up_to_10(monkeypatch):
     # a fresh cache per graph, so each query runs whole; a TRUE side stops
     # at its first TRUE child, and trying children richest first keeps the
-    # 25 Hamiltonian searches to 114 memo misses in all, one per node
-    # explored (170 when the side rule ran after canonicalising).
+    # 25 Hamiltonian searches to 108 memo misses in all, one per node
+    # explored above |h| + 1 vertices (114 when a node tried the distinct
+    # forms of its reductions, ties ordered by rows).  A reduction is
+    # labelled only when the search reaches it, so those searches run 130
+    # labelling searches from a cold form cache (652 when a node above
+    # |h| + 2 labelled every reduction with room).
     # I?CxuB@w? has a bridge, so its gadget's components have sides
     # (3, 4), (3, 4) and (0, 1), none with room for K1,9: the side rule
     # answers at the root, before the host is canonicalised
     assert len(CUBIC_UP_TO_10) == 26
-    explored = 0
+    searches = []
+    search = canon._search
+
+    def spy(g, *rest):
+        searches.append(g)
+        return search(g, *rest)
+
+    monkeypatch.setattr(canon, "_search", spy)
+    explored = labelled = 0
     for g6 in CUBIC_UP_TO_10:
         cache = PivotMinorCache()
+        searches.clear()
         report = reduction_roundtrip(from_graph6(g6), cache=cache)
         assert report["sides_agree"] is True, g6
         if report["hamiltonian"]:
             explored += cache.misses
+            labelled += len(searches)
         if g6 == "I?CxuB@w?":
             assert not cache.verdicts and not cache.children
-    assert explored <= 170
+    assert explored <= 108
+    assert labelled <= 150
