@@ -10,6 +10,7 @@ Hamiltonicity of cubic graphs to star pivot-minors.
 __version__ = "0.1.0"
 
 from .canon import (
+    LabellingBudgetError,
     canonical_form,
     canonical_key,
     find_induced_embedding,
@@ -44,6 +45,7 @@ from .containment import (
     ORBIT_LIMIT,
     OrbitLimitError,
     PivotMinorCache,
+    SearchBudgetError,
     Verdict,
     contains_pivot_minor,
     pivot_equivalent,

@@ -26,13 +26,7 @@ from typing import Iterable, Sequence
 
 from . import containment
 from .canon import canonical_form, isomorphism
-from .containment import (
-    OrbitLimitError,
-    PivotMinorCache,
-    Verdict,
-    contains_pivot_minor,
-    pivot_orbit,
-)
+from .containment import PivotMinorCache, pivot_orbit
 from .graphs import Graph, delete_vertex, induced_subgraph, pivot
 from .io import from_graph6, to_graph6
 
@@ -126,15 +120,15 @@ def find_pivot_minor_sequence(
     containment._reductions that still contains h, as DeleteVertex(v),
     after PivotEdge(z, v) for a contract-pivot.
 
-    Returns None when h is not a pivot-minor of g; raises OrbitLimitError
-    when h's pivot orbit has more than containment.ORBIT_LIMIT members.
-    Replays of the result are validated by the caller's tests rather than
-    trusted.
+    Returns None when h is not a pivot-minor of g.  Raises the error of
+    the limit a query hits: OrbitLimitError when h's pivot orbit has more
+    than containment.ORBIT_LIMIT members, SearchBudgetError when a query
+    spends containment.SEARCH_BUDGET.  Replays of the result are
+    validated by the caller's tests rather than trusted.
     """
-    verdict = contains_pivot_minor(g, h, cache=cache)
-    if verdict is Verdict.INCONCLUSIVE:
-        raise OrbitLimitError(containment.ORBIT_LIMIT)
-    if verdict is Verdict.FALSE:
+    if cache is None:
+        cache = containment.DEFAULT_CACHE
+    if not containment._contains(g, h, cache):
         return None
 
     steps: list[Step] = []
@@ -142,7 +136,7 @@ def find_pivot_minor_sequence(
     # peel one vertex at a time, preferring plain deletion
     while cur.n > h.n:
         found = next(((v, z, r) for v, z, r in containment._reductions(cur)
-                      if contains_pivot_minor(r, h, cache=cache)), None)
+                      if containment._contains(r, h, cache)), None)
         if found is None:
             raise AssertionError("containment held but no reduction worked")
         v, z, cur = found

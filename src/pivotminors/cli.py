@@ -4,7 +4,9 @@ Graphs are given as named graphs ("C5", "2P2", "K1,3"), file paths
 (graph6 or "n m" edge-list format, sniffed), or literal graph6 strings
 prefixed with "g6:".  Exit codes: 0 for definite results, 2 for
 inconclusive or truncation-limited results, 1 for usage errors and
-failed verifications.
+failed verifications.  A spent resource limit (the orbit limit, the
+labelling or the containment search budget) is inconclusive: exit 2,
+with "inconclusive: " and the limit's message on stderr.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .canon import _check_order, canonical_key
+from .canon import LabellingBudgetError, canonical_key
 from .catalog import is_named_graph, named_graph
 from .certificates import Certificate, find_pivot_minor_sequence, steps_to_json, verify_certificate
-from .containment import OrbitLimitError, contains_pivot_minor, pivot_orbit
+from .containment import (
+    OrbitLimitError, SearchBudgetError, contains_pivot_minor, pivot_orbit)
 from .generate import generate_all_graphs
 from .graphs import Graph, pivot
 from .io import parse_graph_text, read_graphs, to_edgelist, to_graph6
@@ -42,6 +45,9 @@ from .recognizers import RECOGNIZERS, recognize, recognize_bounded
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
+
+# listing an orbit labels each of its up to 2^(n-1) labelled members
+ORBIT_MAX_VERTICES = 16
 
 
 class UsageError(Exception):
@@ -93,14 +99,10 @@ def _cmd_pivot(args) -> int:
 
 def _cmd_orbit(args) -> int:
     g = load_graph_arg(args.input)
-    # the classes are listed by canonical_key, so refuse a graph above its
-    # cap before enumerating the orbit
-    _check_order(g)
-    try:
-        orbit = pivot_orbit(g)
-    except OrbitLimitError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    if g.n > ORBIT_MAX_VERTICES:
+        raise UsageError(f"orbit listing is capped at {ORBIT_MAX_VERTICES} "
+                         f"vertices, got {g.n}")
+    orbit = pivot_orbit(g)
     keys = sorted({canonical_key(x) for x in orbit})
     if args.json:
         _emit_json({
@@ -133,11 +135,7 @@ def _cmd_contains(args) -> int:
 def _cmd_sequence(args) -> int:
     g = load_graph_arg(args.g)
     h = load_graph_arg(args.h)
-    try:
-        found = find_pivot_minor_sequence(g, h)
-    except OrbitLimitError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    found = find_pivot_minor_sequence(g, h)
     if found is None:
         print("none")
         return EXIT_OK
@@ -435,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
+    except (LabellingBudgetError, OrbitLimitError, SearchBudgetError) as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

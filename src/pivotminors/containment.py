@@ -36,31 +36,41 @@ pivot-minor lies in one component, with sides no larger.  The rule
 screens every labelled graph, the input too, before it is canonicalised,
 so a bipartite input without room is FALSE whatever its order.
 
-The target's pivot orbit is the only resource limit.  Pivoting an edge
-is a principal pivot transform of the adjacency matrix over GF(2), so
-every labelled member of the orbit of an n-vertex graph is g * X for an
-even vertex set X with A[X] nonsingular: at most 2^(n-1) members.  The
-limit, ORBIT_LIMIT = 2^20, therefore binds only on graphs of 22 or more
-vertices, which canonical_form refuses anyway; it guards pivot_orbit,
-which takes any graph.  Whether the target's orbit fits is decided once,
-before the search: INCONCLUSIVE means exactly that it does not.
-Otherwise the search is exact and answers TRUE or FALSE; the limit never
-shows up as a silent false.
+Two resource limits bound a query, and each shows up as INCONCLUSIVE,
+never as a silent false.  Pivoting an edge is a principal pivot
+transform of the adjacency matrix over GF(2), so every labelled member of
+the orbit of an n-vertex graph is g * X for an even vertex set X with
+A[X] nonsingular: at most 2^(n-1) members.  ORBIT_LIMIT = 2^20 therefore
+binds only on targets of 22 or more vertices, and it guards pivot_orbit,
+which takes any graph; whether the target's orbit fits is decided once,
+before the search.  SEARCH_BUDGET bounds the search itself: a query may
+compute that many verdicts (memo misses), and the next one ends it with a
+RuntimeWarning that names the budget and the host.  Verdicts of the
+subtrees it finished are exact and stay memoised, so the query can be
+asked again and goes on from them.  _contains raises the limit's own
+error (OrbitLimitError, SearchBudgetError) instead.  Labelling is
+bounded by canon.LABEL_BUDGET, whose LabellingBudgetError passes through.
 """
 
 from __future__ import annotations
 
 import enum
+import warnings
 from collections import deque
 from collections.abc import Iterator
 
 from .canon import cache_insert, canonical_form
 from .graphs import (
     Graph, _bits, component_sides, contract_pivot, delete_vertex, pivot)
+from .io import to_graph6
 
 # labelled orbit members of an n-vertex graph number at most 2^(n-1)
 # (see the module docstring), so this binds only from 22 vertices on
 ORBIT_LIMIT = 1 << 20
+
+# memo misses of one query: a FALSE query on an 18-vertex host can take
+# thousands, and spending this many takes about 40 s
+SEARCH_BUDGET = 1 << 15
 
 
 class OrbitLimitError(RuntimeError):
@@ -69,6 +79,18 @@ class OrbitLimitError(RuntimeError):
     def __init__(self, limit: int):
         super().__init__(f"pivot orbit exceeded the limit of {limit} members")
         self.limit = limit
+
+
+class SearchBudgetError(RuntimeError):
+    """Raised when a containment query computes more than SEARCH_BUDGET
+    verdicts."""
+
+    def __init__(self, budget: int, graph6: str):
+        super().__init__(
+            f"containment search spent SEARCH_BUDGET = {budget} memo misses "
+            f"on host {graph6}")
+        self.budget = budget
+        self.graph6 = graph6
 
 
 class Verdict(enum.Enum):
@@ -261,21 +283,35 @@ def contains_pivot_minor(
     """Does g contain h as a pivot-minor?
 
     INCONCLUSIVE exactly when h's pivot orbit has more than ORBIT_LIMIT
-    labelled members; below that check the search is exact."""
-    if cache is None:
-        cache = DEFAULT_CACHE
+    labelled members or the search spends SEARCH_BUDGET, which also
+    warns; otherwise the search is exact."""
+    try:
+        found = _contains(g, h, DEFAULT_CACHE if cache is None else cache)
+    except OrbitLimitError:
+        return Verdict.INCONCLUSIVE
+    except SearchBudgetError as exc:
+        warnings.warn(f"inconclusive: {exc}", RuntimeWarning, stacklevel=2)
+        return Verdict.INCONCLUSIVE
+    return Verdict.TRUE if found else Verdict.FALSE
+
+
+def _contains(g: Graph, h: Graph, cache: PivotMinorCache) -> bool:
+    """contains_pivot_minor's search, which raises the error of the limit
+    it hits: OrbitLimitError or SearchBudgetError."""
     if h.n == 0:
-        return Verdict.TRUE
+        return True
     if g.n < h.n:
-        return Verdict.FALSE
+        return False
     th = canonical_form(h)
     target = cache.target_orbit_keys(th)
     if target is None:
-        return Verdict.INCONCLUSIVE
+        raise OrbitLimitError(ORBIT_LIMIT)
     orbit, degrees = target
     sizes = frozenset(sum(s) >> 1 for s in degrees)
     verdicts = cache.verdicts
     need = _side_sizes(th)
+    budget = SEARCH_BUDGET
+    stop = cache.misses + budget  # the miss count that spends it
 
     def room(cur: Graph) -> bool:
         # False when cur is bipartite and has no room for h's components
@@ -284,7 +320,7 @@ def contains_pivot_minor(
             any(p <= a and q <= b for a, b in have) for p, q in need)
 
     if not room(g):
-        return Verdict.FALSE
+        return False
 
     def rec(cur: Graph) -> bool:
         # cur is labelled and has room: every graph is screened before it
@@ -296,13 +332,14 @@ def contains_pivot_minor(
         if found is not None:
             cache.hits += 1
             return found
+        if cache.misses == stop:
+            raise SearchBudgetError(budget, to_graph6(g))
         cache.misses += 1
         found = any(rec(r) for r in cache.child_keys(form) if room(r))
         cache_insert(verdicts, (form, th), found)
         return found
 
-    found = canonical_form(g) in orbit if g.n == h.n else rec(g)
-    return Verdict.TRUE if found else Verdict.FALSE
+    return canonical_form(g) in orbit if g.n == h.n else rec(g)
 
 
 def pivot_equivalent(g: Graph, h: Graph) -> bool:
@@ -310,9 +347,4 @@ def pivot_equivalent(g: Graph, h: Graph) -> bool:
 
     Containment at equal order, through DEFAULT_CACHE; raises
     OrbitLimitError when h's orbit has more than ORBIT_LIMIT members."""
-    if g.n != h.n:
-        return False
-    verdict = contains_pivot_minor(g, h)
-    if verdict is Verdict.INCONCLUSIVE:
-        raise OrbitLimitError(ORBIT_LIMIT)
-    return bool(verdict)
+    return g.n == h.n and _contains(g, h, DEFAULT_CACHE)

@@ -8,6 +8,14 @@ spanning tree).  For a connected cubic G on n >= 5 vertices, G has a
 Hamiltonian cycle if and only if this fundamental graph contains K_{1,n-1}
 as a pivot-minor, which turns a desk-size Hamiltonicity instance into a
 pivot-minor containment instance.
+
+reduction_roundtrip runs both sides.  The direct side, is_hamiltonian,
+refuses graphs above HAMILTON_MAX_VERTICES (12), a limit of time: its
+backtracking is exponential in the order.  The containment side has no
+order cap.  The gadget of an n-vertex cubic graph has 3n/2 vertices, 18
+for n = 12, and is labelled within canon.LABEL_BUDGET; a query that
+spends containment.SEARCH_BUDGET is INCONCLUSIVE, and the report's
+sides_agree is then None.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .containment import PivotMinorCache, Verdict, contains_pivot_minor
 from .graphs import Graph, _bits, connected_components, is_connected
 from .io import to_graph6
 
+# backtracking takes time exponential in the order
 HAMILTON_MAX_VERTICES = 12
 
 

@@ -17,12 +17,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canon import CANON_MAX_VERTICES, canonical_form, canonical_key
+from .canon import canonical_form, canonical_key
 from .catalog import complete_multipartite, cycle_graph, path_graph, star_graph
 from .containment import PivotMinorCache, Verdict, contains_pivot_minor
 from .generate import class_order, extend_by_one_vertex
 from .graphs import Graph, contract_pivot, delete_vertex, disjoint_union
 from .io import from_graph6, to_graph6
+
+# the deepest sweep mine accepts (see mine)
+MINE_MAX_VERTICES = 16
 
 
 @dataclass
@@ -47,14 +50,17 @@ def is_minimal_obstruction(
     g: Graph, h: Graph, *, cache: PivotMinorCache | None = None
 ) -> Verdict:
     """Does g contain h as a pivot-minor while no g - v does?"""
-    top = contains_pivot_minor(g, h, cache=cache)
-    if top is not Verdict.TRUE:
-        return top
-    # h's orbit fitted the limit, so every verdict below is definite
-    if any(contains_pivot_minor(delete_vertex(g, v), h, cache=cache)
-           for v in range(g.n)):
-        return Verdict.FALSE
-    return Verdict.TRUE
+    verdict = contains_pivot_minor(g, h, cache=cache)
+    if verdict is not Verdict.TRUE:
+        return verdict
+    # h's orbit fitted its limit, but a query below may spend its budget
+    for v in range(g.n):
+        below = contains_pivot_minor(delete_vertex(g, v), h, cache=cache)
+        if below is Verdict.TRUE:
+            return Verdict.FALSE
+        if below is Verdict.INCONCLUSIVE:
+            verdict = below
+    return verdict
 
 
 def mine(
@@ -78,21 +84,23 @@ def mine(
     the order below settles by lookup.  Members and inconclusive graphs
     come out in generate_all_graphs order, smallest order first.
 
-    The target's pivot orbit is the only resource limit on the way.  It
-    always fits for n_max <= CANON_MAX_VERTICES (16): an orbit on n
-    vertices has at most 2^(n-1) labelled members, far below
-    containment.ORBIT_LIMIT.  Were it blown, no graph on |h| or more
-    vertices could be decided, and every one of them would be reported in
-    `inconclusive`.  `cache` serves only that orbit; no containment query
-    is made.
+    n_max is at most MINE_MAX_VERTICES (16), a limit of mining's own:
+    the target's orbit is only needed when |h| <= n_max, and an orbit on
+    n vertices has at most 2^(n-1) labelled members, so below the limit it
+    always fits containment.ORBIT_LIMIT with room to spare.  Were it
+    blown, no graph on |h| or more vertices could be decided, and every
+    one of them would be reported in `inconclusive`.  Every candidate is
+    labelled, and a labelling that spends canon.LABEL_BUDGET raises
+    LabellingBudgetError; C16 labels within it.  `cache` serves only the
+    orbit; no containment query is made.
     """
     if h.n == 0:
         raise ValueError("the empty target is a pivot-minor of everything")
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got n_max = {n_max}")
-    if n_max > CANON_MAX_VERTICES:
+    if n_max > MINE_MAX_VERTICES:
         raise ValueError(
-            f"mining is capped at CANON_MAX_VERTICES = {CANON_MAX_VERTICES} "
+            f"mining is capped at MINE_MAX_VERTICES = {MINE_MAX_VERTICES} "
             f"vertices, got n_max = {n_max}"
         )
     if cache is None:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -20,9 +21,10 @@ from pivotminors import (
     is_isomorphic,
     isomorphism,
     named_graph,
+    to_graph6,
 )
 from pivotminors import canon
-from pivotminors.canon import CANON_MAX_VERTICES
+from pivotminors.canon import LabellingBudgetError
 from pivotminors.generate import KNOWN_CLASS_COUNTS, generate_all_graphs
 
 
@@ -185,9 +187,30 @@ def test_full_form_cache_warns_and_still_computes(monkeypatch):
 
 
 def test_canonical_form_order_cap():
-    with pytest.raises(ValueError):
-        canonical_form(Graph(CANON_MAX_VERTICES + 1))
-    canonical_form(Graph(CANON_MAX_VERTICES))  # at the cap is fine
+    # no order cap: the search is bounded by its work, so graphs above 16
+    # vertices label whenever twins or cell keys keep the tree small
+    rng = random.Random(22)
+    for g in (Graph(64), complete_multipartite([32, 32]),
+              clique_star(8, [6, 6, 6, 6]), named_graph("P3+2C5+K1,12")):
+        assert g.n > 16
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+
+def test_labelling_budget_names_its_input(monkeypatch):
+    # C16 costs 54.3 million work units; a budget of 2^16 stops it early
+    g = named_graph("C16")
+    monkeypatch.setattr(canon, "_FORMS", {})
+    monkeypatch.setattr(canon, "LABEL_BUDGET", 1 << 16)
+    start = time.perf_counter()
+    with pytest.raises(LabellingBudgetError) as err:
+        canonical_form(g)
+    assert time.perf_counter() - start < 1
+    assert err.value.budget == 1 << 16
+    assert err.value.graph6 == to_graph6(g)
+    assert "LABEL_BUDGET" in str(err.value) and to_graph6(g) in str(err.value)
+    assert not canon._FORMS
 
 
 def test_is_isomorphic_spot_checks():

@@ -15,6 +15,7 @@ from pivotminors import (
     OrbitLimitError,
     PivotEdge,
     PivotMinorCache,
+    SearchBudgetError,
     apply_sequence,
     build_certificate,
     complete_graph,
@@ -128,6 +129,17 @@ def test_find_sequence_names_the_orbit_limit(monkeypatch):
         find_pivot_minor_sequence(named_graph("C5"), named_graph("P4"),
                                   cache=PivotMinorCache())
     assert err.value.limit == 1
+
+
+def test_find_sequence_names_the_search_budget(monkeypatch):
+    # the orbit fits, so a spent search budget is the limit to name; C7
+    # is two vertices above P4, so its root is a memo miss
+    monkeypatch.setattr(containment, "SEARCH_BUDGET", 0)
+    with pytest.raises(SearchBudgetError) as err:
+        find_pivot_minor_sequence(named_graph("C7"), named_graph("P4"),
+                                  cache=PivotMinorCache())
+    assert err.value.budget == 0
+    assert err.value.graph6 == to_graph6(named_graph("C7"))
 
 
 def make_cert(cache):

@@ -14,7 +14,7 @@ from pivotminors import (
     to_edgelist,
     to_graph6,
 )
-from pivotminors import cli, containment
+from pivotminors import canon, cli, containment
 from pivotminors.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from pivotminors.generate import KNOWN_CLASS_COUNTS
 
@@ -87,7 +87,7 @@ def test_orbit_json(capsys):
 def test_orbit_refuses_a_graph_above_the_cap_before_enumerating(
         capsys, monkeypatch):
     # W16 has 9,261 labelled orbit members, and listing their classes
-    # needs canonical forms, which stop at 16 vertices: the command must
+    # labels every one: the command keeps its own 16-vertex cap and must
     # refuse the 17-vertex wheel without enumerating the orbit
     def refuse(g):
         raise AssertionError("pivot_orbit called")
@@ -96,7 +96,7 @@ def test_orbit_refuses_a_graph_above_the_cap_before_enumerating(
     code, out, err = run(capsys, "orbit", "--in", "W16")
     assert code == EXIT_USAGE == 1
     assert out == ""
-    assert "canonical form capped at 16 vertices, got 17" in err, err
+    assert "orbit listing is capped at 16 vertices, got 17" in err, err
 
 
 def test_graph_arguments_accept_files_and_literals(tmp_path, capsys):
@@ -384,16 +384,21 @@ def test_verify_refuses_a_float_version(tmp_path, capsys):
 
 
 def test_contains_answers_a_bipartite_host_without_room_above_the_cap(
-        capsys):
+        capsys, monkeypatch):
     # C64 is bipartite and C3 is not, so the side rule answers before the
     # host is canonicalised; P4's sides (2, 2) fit into C64's (32, 32), so
-    # that query needs the host's canonical form and meets the cap
+    # that query labels the host, which spends the labelling budget (the
+    # default's in about 8 s, a low one here)
+    monkeypatch.setattr(canon, "_FORMS", {})
+    monkeypatch.setattr(canon, "LABEL_BUDGET", 1 << 16)
     code, out, err = run(capsys, "contains", "--g", "C64", "--h", "C3")
     assert (code, out, err) == (EXIT_OK, "false\n", "")
     code, out, err = run(capsys, "contains", "--g", "C64", "--h", "P4")
-    assert code == EXIT_USAGE == 1
+    assert code == EXIT_INCONCLUSIVE == 2
     assert out == ""
-    assert "canonical form capped at 16 vertices, got 64" in err, err
+    assert err.startswith("inconclusive: labelling search spent "
+                          "LABEL_BUDGET = 65536 work units on "
+                          + to_graph6(named_graph("C64"))), err
 
 
 def test_recognize_rejects_a_list_manifest(tmp_path, capsys):

@@ -9,6 +9,7 @@ small case is the load-bearing check of the whole engine.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -39,9 +40,11 @@ from pivotminors import (
     pivot_orbit,
     reduction_roundtrip,
     star_graph,
+    to_graph6,
 )
 from pivotminors import canon, containment
 from pivotminors.graphs import component_sides
+from pivotminors.obstructions import MINE_MAX_VERTICES
 
 
 def definition_closure(g):
@@ -156,10 +159,11 @@ def test_last_level_screen_is_exact():
 def test_side_rule_is_exact():
     # every bipartite class on up to 8 vertices and every class on 6,
     # against connected and disconnected bipartite targets and two that
-    # are not bipartite.  Each target runs on a fresh cache, where a node
-    # on |h| + 2 vertices filters its labelled reductions, and on one
-    # cache shared by all targets in ascending order, where such a node
-    # may read children stored for a smaller target
+    # are not bipartite.  Each target runs on a fresh cache and on one
+    # cache shared by all targets in ascending order.  Either way a node
+    # above |h| + 1 vertices reads one stored list of labelled reductions
+    # and screens each one by the side rule; on the shared cache an
+    # earlier target may have stored that list
     memo = {}
     shared = PivotMinorCache()
     hosts = [g for n in range(1, 9) for g in generate_all_graphs(n)
@@ -480,6 +484,49 @@ def test_pivot_equivalent_classes_share_pivot_minors(cache):
                 bool(contains_pivot_minor(p, h, cache=cache))
 
 
+def grown_by_pendants_and_twins(rng, n):
+    """A connected distance-hereditary graph: from K1, each new vertex is
+    a pendant, a true twin or a false twin of an earlier one."""
+    rows = [0]
+    for w in range(1, n):
+        v = rng.randrange(w)
+        how = "pendant" if w == 1 else rng.choice(("pendant", "true", "false"))
+        nb = {"pendant": 1 << v, "true": rows[v] | 1 << v,
+              "false": rows[v]}[how]
+        rows.append(nb)
+        for u in range(w):
+            if nb >> u & 1:
+                rows[u] |= 1 << w
+    return Graph(n, [(u, w) for w in range(n) for u in range(w)
+                     if rows[u] >> w & 1])
+
+
+def test_spent_search_budget_is_inconclusive_and_keeps_its_verdicts(
+        monkeypatch):
+    # distance-hereditary graphs are closed under pivot-minors (Bouchet)
+    # and C5 is not one, so the answer is FALSE, after a whole search:
+    # 2,543 memo misses on a fresh cache, about 1.3 s.  The side rule
+    # cannot cut it, since the host is not bipartite
+    host = grown_by_pendants_and_twins(random.Random(24), 18)
+    assert is_connected(host) and not is_bipartite(host)
+    c5 = named_graph("C5")
+    cache = PivotMinorCache()
+    monkeypatch.setattr(containment, "SEARCH_BUDGET", 100)
+    message = f"SEARCH_BUDGET = 100 memo misses on host {to_graph6(host)}"
+    with pytest.warns(RuntimeWarning, match=re.escape(message)):
+        verdict = contains_pivot_minor(host, c5, cache=cache)
+    assert verdict is Verdict.INCONCLUSIVE
+    assert cache.misses == 100
+    # the finished subtrees' verdicts stay, all exact; the open path's
+    # nodes store none
+    kept = len(cache.verdicts)
+    assert 0 < kept < 100
+    assert not any(cache.verdicts.values())
+    monkeypatch.undo()
+    assert contains_pivot_minor(host, c5, cache=cache) is Verdict.FALSE
+    assert cache.misses - 100 == 2543 - kept
+
+
 def test_orbit_limit_counts_the_start_member(monkeypatch):
     monkeypatch.setattr(containment, "ORBIT_LIMIT", 0)
     with pytest.raises(OrbitLimitError):
@@ -492,9 +539,10 @@ def test_orbit_limit_counts_the_start_member(monkeypatch):
 
 @pytest.mark.parametrize("name", ["C16", "P16", "W15"])
 def test_pivot_orbit_fits_the_gf2_bound_at_the_canon_cap(name):
-    # members are g * X for even X with A[X] nonsingular: at most 2^(n-1)
+    # members are g * X for even X with A[X] nonsingular: at most 2^(n-1),
+    # so every target that mining's cap admits has an orbit that fits
     g = named_graph(name)
-    assert g.n == canon.CANON_MAX_VERTICES
+    assert g.n == MINE_MAX_VERTICES
     assert len(pivot_orbit(g)) <= 2 ** (g.n - 1) < containment.ORBIT_LIMIT
 
 

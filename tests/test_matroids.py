@@ -182,6 +182,34 @@ def test_reduction_roundtrip_prism(cache):
     assert report["notes"] == []
 
 
+def held_karp_hamiltonian(g):
+    """Held-Karp over vertex subsets; independent of is_hamiltonian."""
+    # ends[mask]: the vertices where a path from 0 through mask can end
+    ends = [0] * (1 << g.n)
+    ends[1] = 1
+    for mask in range(1, 1 << g.n, 2):
+        for v in range(g.n):
+            if ends[mask] >> v & 1:
+                for w in range(g.n):
+                    if g.rows[v] >> w & 1 and not mask >> w & 1:
+                        ends[mask | 1 << w] |= 1 << w
+    return g.n >= 3 and bool(ends[-1] & g.rows[0])
+
+
+@pytest.mark.parametrize("g6", ["KhEKAC`CGO_p", "K{CY?SBG?G_F"])
+def test_reduction_roundtrip_on_12_vertex_cubic_graphs(g6):
+    # the hexagonal prism and the truncated tetrahedron, whose gadgets
+    # have 18 vertices
+    g = from_graph6(g6)
+    assert g.n == 12 and g.degree_sequence() == (3,) * 12
+    report = reduction_roundtrip(g, cache=PivotMinorCache())
+    assert from_graph6(report["fundamental_graph6"]).n == 18
+    assert report["target"] == "K1,11"
+    assert report["hamiltonian"] is held_karp_hamiltonian(g) is True
+    assert report["sides_agree"] is True
+    assert report["notes"] == []
+
+
 def test_reduction_roundtrip_petersen_is_false(monkeypatch):
     # the reduction's FALSE side at n >= 5: a fresh cache, so the whole
     # 15-vertex query against K1,9 runs here.  The side rule drops every

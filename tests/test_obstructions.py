@@ -28,7 +28,7 @@ from pivotminors import (
     star_graph,
 )
 from pivotminors import containment
-from pivotminors.canon import CANON_MAX_VERTICES
+from pivotminors.obstructions import MINE_MAX_VERTICES
 
 
 def keys(graphs):
@@ -105,8 +105,11 @@ def test_mine_rejects_a_negative_depth(cache):
 
 
 def test_mine_names_the_canon_cap(cache):
-    with pytest.raises(ValueError, match="CANON_MAX_VERTICES"):
-        mine(Graph(3), CANON_MAX_VERTICES + 1, cache=cache)
+    # mining has a 16-vertex cap of its own
+    assert MINE_MAX_VERTICES == 16
+    with pytest.raises(ValueError, match="MINE_MAX_VERTICES = 16 vertices, "
+                                         "got n_max = 17"):
+        mine(Graph(3), MINE_MAX_VERTICES + 1, cache=cache)
 
 
 def test_p2_plus_p1_sweep_reaches_its_bound(cache):
