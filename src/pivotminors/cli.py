@@ -6,7 +6,8 @@ prefixed with "g6:".  Exit codes: 0 for definite results, 2 for
 inconclusive or truncation-limited results, 1 for usage errors and
 failed verifications.  A spent resource limit (the orbit limit, the
 labelling or the containment search budget) is inconclusive: exit 2,
-with "inconclusive: " and the limit's message on stderr.
+with "inconclusive: " and the limit's message on stderr; contains also
+prints the verdict "inconclusive" on stdout.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import re
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, containment
 from .canon import LabellingBudgetError, canonical_key
 from .catalog import is_named_graph, named_graph
 from .certificates import Certificate, find_pivot_minor_sequence, steps_to_json, verify_certificate
 from .containment import (
-    OrbitLimitError, SearchBudgetError, contains_pivot_minor, pivot_orbit)
+    OrbitLimitError, SearchBudgetError, Verdict, pivot_orbit)
 from .generate import generate_all_graphs
 from .graphs import Graph, pivot
 from .io import parse_graph_text, read_graphs, to_edgelist, to_graph6
@@ -121,7 +122,13 @@ def _cmd_orbit(args) -> int:
 def _cmd_contains(args) -> int:
     g = load_graph_arg(args.g)
     h = load_graph_arg(args.h)
-    verdict = contains_pivot_minor(g, h)
+    try:
+        found = containment._contains(g, h, containment.DEFAULT_CACHE)
+    except (LabellingBudgetError, OrbitLimitError, SearchBudgetError) as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        verdict = Verdict.INCONCLUSIVE
+    else:
+        verdict = Verdict.TRUE if found else Verdict.FALSE
     if args.json:
         _emit_json({
             "inputs": {"g": _graph_meta(g), "h": _graph_meta(h)},

@@ -23,6 +23,11 @@ _search_obstructions, certifies what it finds, each pivot sequence found
 once per (obstruction, target) pair.  Odd cycles, and 2P2's two edged
 components, are certified by hand; a paw/diamond component with a
 triangle is certified by a search for diamond, then paw.
+
+The odd cycle is a shortest one, so it has no chord: the one that the
+per-root scan of Itai and Rodeh (SIAM J. Comput. 1978) returns, found with
+every root's BFS grown at once over bitsets, so an odd hole on k vertices
+costs (k - 1) / 2 layers over all roots, not k breadth-first searches.
 """
 
 from __future__ import annotations
@@ -108,51 +113,22 @@ def _odd_cycle_steps(k: int, floor: int) -> list[Step]:
 
 
 def _shortest_odd_cycle(g: Graph) -> list[int]:
-    """Vertices of a shortest odd cycle in cyclic order.
-
-    Each root, in ascending order, grows a BFS tree one layer at a time,
-    layers in discovery order and every vertex's parent its first
-    discoverer.  The first edge uv inside a layer d, in g.edges() order,
-    closes an odd walk of length 2d + 1 along the tree paths of u and v;
-    a root stops there, or at the first layer that cannot beat the best
-    walk so far.  The result is the walk of the first root that reaches
-    the shortest length.  Minimality makes it a chordless cycle, which
-    the caller relies on.  Requires a non-bipartite graph.
+    """Vertices of a shortest odd cycle in cyclic order: the walk of the
+    first root, in ascending order, whose BFS meets an edge inside a layer
+    at the odd girth, as the scan of one root after another returns it.
+    Root 0's tree is grown first: a triangle through 0 answers at once,
+    and a longer walk bounds the layers.  _first_odd_root then finds the
+    winning root with every root's BFS grown at once, and only its tree is
+    grown.  Minimality makes the walk a chordless cycle, which the caller
+    relies on.  Requires a non-bipartite graph.
     """
     rows = g.rows
-    best_len = g.n + 1
-    best: list[int] | None = None
-    parent = [0] * g.n
-    for root in range(g.n):
-        if best_len == 3:
-            break  # a triangle is as short as odd cycles get
-        layer, mask = [root], 1 << root
-        seen = mask
-        d = 0
-        while layer and 2 * d + 1 < best_len:
-            edge = _first_inner_edge(rows, mask)
-            if edge is not None:
-                # if the tree paths meet below the root, at x, they close
-                # an odd cycle through x that is shorter, so a later root
-                # replaces this walk; at the shortest length they meet only
-                # at the root, and the walk is a cycle
-                pu, pv = [edge[0]], [edge[1]]
-                for _ in range(d):
-                    pu.append(parent[pu[-1]])
-                    pv.append(parent[pv[-1]])
-                best_len = 2 * d + 1
-                best = pu[::-1] + pv[:-1]
-                break
-            nxt, mask = [], 0
-            for u in layer:
-                new = rows[u] & ~seen
-                seen |= new
-                mask |= new
-                for w in _bits(new):
-                    parent[w] = u
-                    nxt.append(w)
-            layer = nxt
-            d += 1
+    best = _odd_walk(rows, 0, g.n + 1) if g.n else None
+    bound = len(best) if best else g.n + 1
+    if bound > 3:
+        root = _first_odd_root(g, bound)
+        if root is not None:
+            best = _odd_walk(rows, root, bound)
     if best is None:
         raise ValueError("graph is bipartite, no odd cycle exists")
     k = len(best)
@@ -167,6 +143,67 @@ def _shortest_odd_cycle(g: Graph) -> list[int]:
         ends = 1 << best[i - 1] | 1 << best[(i + 1) % k]
         assert rows[v] & on_cycle == ends, "cycle has a chord"
     return best
+
+
+def _first_odd_root(g: Graph, bound: int) -> int | None:
+    """The lowest root whose BFS has an edge inside layer d, for the least
+    such d with 2d + 1 < bound, or None.  All roots grow at once, as
+    bitsets over the roots: front[v] holds the roots with a walk of d
+    edges to v (layer 1 is the rows), and an edge uv with r in front[u] &
+    front[v] closes an odd walk of length 2d + 1 through r.  Such a walk
+    holds an odd cycle no longer than itself, so none closes below the odd
+    girth 2d* + 1; at d* it is a shortest odd cycle, on which u and v lie
+    at distance d* from r, inside r's BFS layer.  So walks find the same
+    roots as BFS layers, without a mask of the vertices reached."""
+    edges = list(g.edges())
+    front = g.rows
+    d = 1
+    while 2 * d + 1 < bound:
+        inner, reach = 0, [0] * g.n
+        for u, v in edges:
+            fu, fv = front[u], front[v]
+            inner |= fu & fv
+            reach[u] |= fv
+            reach[v] |= fu
+        if inner:
+            return (inner & -inner).bit_length() - 1
+        front = reach
+        d += 1
+    return None
+
+
+def _odd_walk(rows: tuple[int, ...], root: int, bound: int) -> list[int] | None:
+    """The odd closed walk of root's BFS tree at its first edge inside a
+    layer d, if 2d + 1 < bound, else None.  Layers are in discovery order
+    and every vertex's parent is its first discoverer; the edge is the
+    first inside the layer (_first_inner_edge), and the walk runs from
+    its one end up the tree to root and down to the other.  If the tree
+    paths meet below root, at x, they close a shorter odd cycle through
+    x; at the shortest length they meet only at root, and the walk is a
+    cycle."""
+    parent = [0] * len(rows)
+    layer, mask = [root], 1 << root
+    seen = mask
+    d = 0
+    while layer and 2 * d + 1 < bound:
+        edge = _first_inner_edge(rows, mask)
+        if edge is not None:
+            pu, pv = [edge[0]], [edge[1]]
+            for _ in range(d):
+                pu.append(parent[pu[-1]])
+                pv.append(parent[pv[-1]])
+            return pu[::-1] + pv[:-1]
+        nxt, mask = [], 0
+        for u in layer:
+            new = rows[u] & ~seen
+            seen |= new
+            mask |= new
+            for w in _bits(new):
+                parent[w] = u
+                nxt.append(w)
+        layer = nxt
+        d += 1
+    return None
 
 
 def _first_inner_edge(rows: tuple[int, ...], mask: int) -> tuple[int, int] | None:

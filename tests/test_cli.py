@@ -1,6 +1,7 @@
 """Command-line interface: outputs, file handling, and exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -39,13 +40,42 @@ def test_contains_false_json(capsys):
     assert data["inputs"]["g"]["n"] == 4
 
 
+def assert_contains_inconclusive(capsys, g, h, message):
+    # every spent limit reads the same: the verdict on stdout, plain and
+    # under --json, one stderr line naming the limit and no warning, exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "contains", "--g", g, "--h", h)
+        assert (code, out, err) == (EXIT_INCONCLUSIVE, "inconclusive\n",
+                                    f"inconclusive: {message}\n")
+        code, out, err = run(capsys, "contains", "--g", g, "--h", h, "--json")
+    assert (code, err) == (EXIT_INCONCLUSIVE, f"inconclusive: {message}\n")
+    assert json.loads(out)["verdict"] == "inconclusive"
+
+
 def test_contains_inconclusive_exit(capsys, monkeypatch):
     # a cold cache, so the target's orbit is enumerated under the limit
     monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
     monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
-    code, out, _ = run(capsys, "contains", "--g", "C5", "--h", "C5")
-    assert code == EXIT_INCONCLUSIVE
-    assert out.strip() == "inconclusive"
+    assert_contains_inconclusive(
+        capsys, "C5", "C5", "pivot orbit exceeded the limit of 1 members")
+
+
+def test_contains_reports_the_search_budget(capsys, monkeypatch):
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    monkeypatch.setattr(containment, "SEARCH_BUDGET", 0)
+    assert_contains_inconclusive(
+        capsys, "C9", "C5", "containment search spent SEARCH_BUDGET = 0 "
+        f"memo misses on host {to_graph6(named_graph('C9'))}")
+
+
+def test_contains_reports_the_labelling_budget(capsys, monkeypatch):
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    monkeypatch.setattr(canon, "_FORMS", {})
+    monkeypatch.setattr(canon, "LABEL_BUDGET", 1 << 10)
+    assert_contains_inconclusive(
+        capsys, "C17", "C3", "labelling search spent LABEL_BUDGET = 1024 "
+        f"work units on {to_graph6(named_graph('C17'))}")
 
 
 @pytest.mark.parametrize("command", ["orbit", "contains", "sequence"])
@@ -395,7 +425,7 @@ def test_contains_answers_a_bipartite_host_without_room_above_the_cap(
     assert (code, out, err) == (EXIT_OK, "false\n", "")
     code, out, err = run(capsys, "contains", "--g", "C64", "--h", "P4")
     assert code == EXIT_INCONCLUSIVE == 2
-    assert out == ""
+    assert out == "inconclusive\n"
     assert err.startswith("inconclusive: labelling search spent "
                           "LABEL_BUDGET = 65536 work units on "
                           + to_graph6(named_graph("C64"))), err

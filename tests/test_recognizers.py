@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 import time
 
@@ -41,6 +42,8 @@ from pivotminors import (
     wheel_graph,
 )
 from pivotminors import recognizers
+
+SLOW = os.environ.get("PIVOTMINORS_SLOW") == "1"
 
 
 def assert_certified(result, g, target):
@@ -406,6 +409,109 @@ def test_shortest_odd_cycle_matches_the_per_root_scan():
     for g in (Graph(0), cycle_graph(6), _gnp(rng, 40, 0.0), path_graph(64)):
         with pytest.raises(ValueError):
             recognizers._shortest_odd_cycle(g)
+
+
+def _grown_trees(monkeypatch):
+    """Records the root of every single-root tree the kernel grows."""
+    roots = []
+    grow = recognizers._odd_walk
+
+    def spy(rows, root, bound):
+        roots.append(root)
+        return grow(rows, root, bound)
+
+    monkeypatch.setattr(recognizers, "_odd_walk", spy)
+    return roots
+
+
+def test_shortest_odd_cycle_lowest_root_wins_a_tie(monkeypatch):
+    # vertex 0 closes no odd cycle; two disjoint C7 with interleaved labels
+    # reach the odd girth at the same layer, and the cycle through the
+    # lowest of their vertices is the one returned
+    rng = random.Random(24)
+    for _ in range(20):
+        labels = list(range(2, 16))
+        rng.shuffle(labels)
+        a, b = labels[:7], labels[7:]
+        edges = [(0, 1)] + [(c[i - 1], c[i]) for c in (a, b) for i in range(7)]
+        g = Graph(16, edges)
+        roots = _grown_trees(monkeypatch)
+        cycle = recognizers._shortest_odd_cycle(g)
+        assert cycle == reference_shortest_odd_cycle(g)
+        assert min(cycle) == 2 and set(cycle) == set(a if 2 in a else b)
+        assert roots == [0, 2]
+        monkeypatch.undo()
+
+
+def test_shortest_odd_cycle_answers_a_triangle_through_root_0(monkeypatch):
+    # the triangle bounds the layers, so no all-roots layer is built
+    def no_layers(g, bound):
+        raise AssertionError("an all-roots layer was built")
+
+    rng = random.Random(3)
+    for g in (complete_graph(64), wheel_graph(63),
+              Graph(40, [(0, 38), (38, 39), (39, 0)]
+                    + [(i, i + 1) for i in range(37)]),
+              _gnp(rng, 64, 0.9)):
+        roots = _grown_trees(monkeypatch)
+        monkeypatch.setattr(recognizers, "_first_odd_root", no_layers)
+        cycle = recognizers._shortest_odd_cycle(g)
+        assert len(cycle) == 3 and 0 in cycle and roots == [0]
+        assert cycle == reference_shortest_odd_cycle(g)
+        monkeypatch.undo()
+
+
+def test_shortest_odd_cycle_when_root_0_is_off_the_cycle():
+    rng = random.Random(5)
+    graphs = []
+    for k in (3, 5, 11, 31):
+        # root 0 in a bipartite component: a tree, or an even cycle
+        graphs += [disjoint_union(path_graph(9), cycle_graph(k)),
+                   disjoint_union(star_graph(6), cycle_graph(k)),
+                   disjoint_union(cycle_graph(10), cycle_graph(k))]
+        # root 0 at the end of a long pendant path off the odd cycle: its
+        # tree paths meet at the attachment, so its walk is no cycle
+        for length in (1, 4, 20):
+            path = [(i, i + 1) for i in range(length)]
+            ring = [(length + i, length + (i + 1) % k) for i in range(k)]
+            graphs.append(Graph(length + k, path + ring))
+        # and on a pendant tree, its other leaves labelled at random
+        tree = [(rng.randrange(v), v) for v in range(1, 12)]
+        ring = [(11 + i, 11 + (i + 1) % k) for i in range(k)]
+        graphs.append(Graph(11 + k, tree + ring))
+    for g in graphs:
+        cycle = recognizers._shortest_odd_cycle(g)
+        assert 0 not in cycle
+        assert cycle == reference_shortest_odd_cycle(g), g
+
+
+def test_shortest_odd_cycle_grows_at_most_two_trees_on_c63(monkeypatch):
+    # the per-root scan grew one tree per vertex, 63 of them, on C63
+    for g in (cycle_graph(63), _relabelled(cycle_graph(63), random.Random(63))):
+        roots = _grown_trees(monkeypatch)
+        assert len(recognizers._shortest_odd_cycle(g)) == 63
+        assert len(roots) <= 2
+        monkeypatch.undo()
+
+
+@pytest.mark.skipif(not SLOW, reason="set PIVOTMINORS_SLOW=1 for the sweep")
+def test_shortest_odd_cycle_sweep():
+    """Every non-bipartite class on 8 vertices, relabelled, and G(n, p)
+    for n = 3 ... 64 at 10 seeds, against the former kernel."""
+    rng = random.Random(8)
+    for g in generate_all_graphs(8):
+        if not is_bipartite(g):
+            g = _relabelled(g, rng)
+            assert recognizers._shortest_odd_cycle(g) == \
+                reference_shortest_odd_cycle(g), g
+    for seed in range(10):
+        rng = random.Random(seed)
+        for n in range(3, 65):
+            for p in (1.5 / n, 3 / n, 0.1, 0.3, 0.5, 0.9):
+                g = _gnp(rng, n, p)
+                if not is_bipartite(g):
+                    assert recognizers._shortest_odd_cycle(g) == \
+                        reference_shortest_odd_cycle(g), g
 
 
 def test_recognize_bounded_refuses_a_set_mined_for_another_target(cache):
