@@ -1,28 +1,34 @@
 """Canonical forms, isomorphism testing, and induced-subgraph search.
 
-The canonical form of a graph is a distinguished relabelling: the one with
-the lexicographically smallest upper-triangle bit string over all vertex
-orders that respect the (degree, sorted neighbour degrees) partition
-(cell_keys).  Restricting to such orders is an isomorphism-invariant
-pruning, so two graphs get equal forms exactly when they are isomorphic.
-The form is the library's class identity: memo tables key on it, and
-graph6 (the canonical key) only encodes it for output.
-
-The search is bounded by the work it does, not by the order of its input:
-each node costs (level + 1) times its candidate count, the bits it reads
-to build their columns, and a search that spends more than LABEL_BUDGET
-work units raises LabellingBudgetError, naming its input.  Graphs rich in
-twins or in distinct cell keys label cheaply at any order (the 18-vertex
-gadgets of 12-vertex cubic graphs in milliseconds); long cycles, whose
-vertices share one cell and have no twins, are the costly inputs: C16
-takes 54.3 million units, and C17 and longer spend the budget, in about
-8 s.
+The canonical form of a graph comes from individualisation-refinement
+(McKay and Piperno, "Practical graph isomorphism II", J. Symb. Comput.
+2014; Junttila and Kaski, bliss, ALENEX 2007).  The vertices start in
+cells by their (degree, sorted neighbour degrees) key (cell_keys), in key
+order, and refinement splits cells until the vertices of each cell have
+equally many neighbours in every cell.  The search tree branches on the
+first smallest cell left with more than one vertex, putting each of its
+vertices first in turn and refining again; at a leaf every cell is one
+vertex, and the adjacency rows relabelled by that order are the leaf's
+encoding.  The form is the least encoding over the leaves.  Every step
+commutes with relabelling, so two graphs get equal forms exactly when
+they are isomorphic.  The form is the library's class identity: memo
+tables key on it, and graph6 (the canonical key) only encodes it for
+output.  LABELLING numbers this definition for keys stored on disk.
 
 One search finds the form and, on the way, generators of the graph's
-automorphism group: a transposition for each pair of interchangeable twins
-it skips, and a permutation for each other vertex order that reaches the
-minimal encoding.  canonical_labelling returns the form, the order and the
-generators; canonical_form and isomorphism use the same search.
+automorphism group: a transposition for each twin it skips, and a
+permutation for each leaf whose encoding equals the best one's.  Such a
+leaf ends the branch it lies in, the image of one already searched.
+canonical_labelling returns the form, the order and the generators;
+canonical_form and isomorphism use the same search.
+
+The search is bounded by its work, not by the order of its input: each
+node costs one unit plus the vertices its refinement reads, and a search
+that spends more than LABEL_BUDGET units, some 10 s, raises
+LabellingBudgetError, naming its input.  Cycles and cubes label in
+milliseconds (C16 costs 1,437 units, C64 73,341); rigid strongly regular
+graphs cost most (the Latin-square graph of a random 8 x 8 square, on 64
+vertices, about 1.2 million units).
 
 find_induced_embedding is a separate backtracking search (Ullmann/VF2
 style domains) for an induced copy of a pattern.  It borrows the search's
@@ -48,8 +54,11 @@ import warnings
 from .graphs import Graph, _bits
 from .io import to_graph6
 
-# work units of one labelling search; C16 costs 54.3 million
-LABEL_BUDGET = 1 << 26
+# work units of one labelling search; C16 costs 1,437
+LABEL_BUDGET = 1 << 23
+
+# version of the canonical forms, saved with keys that outlive a process
+LABELLING = 2
 
 CACHE_CAP = int(os.environ.get("PIVOTMINORS_CACHE_CAP", str(1 << 21)))
 
@@ -99,113 +108,182 @@ def cell_keys(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
             for d, r in zip(degs, rows)]
 
 
-def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
-    """The labelling search: (best, twins, leaves).
+def _twin_masks(rows: tuple[int, ...]) -> list[int]:
+    """Per vertex, its twins, itself included: the vertices with its open
+    neighbourhood and those with its closed one."""
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        opened[r] = opened.get(r, 0) | 1 << v
+        closed[r | 1 << v] = closed.get(r | 1 << v, 0) | 1 << v
+    return [opened[r] | closed[r | 1 << v] for v, r in enumerate(rows)]
 
-    best is the last vertex order visited that realizes the minimal
-    encoding, best[i] the original vertex placed at position i.  The
-    search also meets Aut(g): twins holds a pair (v, v0) for each skipped
-    twin, whose transposition is an automorphism, and leaves holds every
-    earlier order that reaches the minimal encoding, each one giving the
-    automorphism leaf o best^-1.  Together they generate Aut(g), since
-    each optimal order is an automorphism of best and the search visits
-    all of them but those it skips as twins.  They are stored as found;
-    canonical_labelling makes permutations.  keys, when given, is
-    cell_keys(g.rows).  Raises LabellingBudgetError once the nodes have
-    cost more than LABEL_BUDGET, each (level + 1) times its candidates.
+
+def _refine(rows, cells: list[int], queue: list[int]) -> tuple[list[int], int]:
+    """(cells, reads): the ordered partition cells (vertex masks in position
+    order), equitable against each cell not in queue, refined in place
+    until it is equitable, and the vertices of the cells tested.  A splitter s splits
+    each cell in place by its vertices' neighbours in s, fewest first (a
+    one-vertex s by its row, non-neighbours first).  All fragments of a
+    waiting cell wait, and all but the first largest of another, whose
+    counts follow from the rest (McKay's rule).  Positions and sets alone
+    steer each step, so refinement commutes with relabelling."""
+    n = len(rows)
+    waiting = set(queue)
+    reads = 0
+    for s in queue:  # the queue grows while it is read
+        if len(cells) == n:
+            break
+        if s not in waiting:
+            continue  # split since it was queued; its fragments wait
+        waiting.discard(s)
+        one = not s & (s - 1)
+        reach = rows[s.bit_length() - 1]
+        for v in () if one else _bits(s):
+            reach |= rows[v]
+        i = 0
+        while i < len(cells):
+            c = cells[i]
+            i += 1
+            if not c & (c - 1) or not c & reach:
+                continue
+            reads += c.bit_count()
+            if one:
+                if c & reach == c:
+                    continue
+                frags = [c & ~reach, c & reach]
+            else:
+                by: dict[int, int] = {}
+                for v in _bits(c):
+                    k = (rows[v] & s).bit_count()
+                    by[k] = by.get(k, 0) | 1 << v
+                if len(by) == 1:
+                    continue
+                frags = [by[k] for k in sorted(by)]
+            cells[i - 1:i] = frags
+            i += len(frags) - 1
+            if c in waiting:
+                waiting.discard(c)
+            else:
+                sizes = [f.bit_count() for f in frags]
+                del frags[sizes.index(max(sizes))]
+            queue += frags
+            waiting.update(frags)
+    return cells, reads
+
+
+def _encode(rows, cells: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """(perm, rows relabelled by perm) of a discrete partition."""
+    perm = [c.bit_length() - 1 for c in cells]
+    bit = [0] * len(perm)
+    for i, v in enumerate(perm):
+        bit[v] = 1 << i
+    enc = []
+    for v in perm:
+        r = rows[v]
+        m = 0
+        while r:
+            low = r & -r
+            m |= bit[low.bit_length() - 1]
+            r ^= low
+        enc.append(m)
+    return perm, tuple(enc)
+
+
+def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
+    """The labelling search of the module docstring: (perm, rows, twins,
+    autos).  perm is the first leaf in search order with the least
+    encoding, rows that encoding; cells split only in place, so perm[-1]
+    lies in the largest cell_keys cell.  twins holds (v, v0) for each child
+    v skipped as the twin of a searched child v0, and autos the map best ->
+    leaf for each leaf that repeats the best encoding of its time; that
+    leaf ends the search below the node where its path leaves the best
+    one's.  Only subtrees that these automorphisms map onto searched ones
+    are skipped, so the least encoding is a class invariant and they
+    generate Aut(g).  keys, when given, is cell_keys(g.rows).
     """
     n = g.n
     rows = g.rows
-    twins: list[tuple[int, int]] = []
-    leaves: list[list[int]] = []
-    if n <= 1:
-        return list(range(n)), twins, leaves
     if keys is None:
         keys = cell_keys(rows)
-    cells: dict[tuple, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(keys[v], []).append(v)
-    # positions are handed out cell by cell in key order
-    cell_of_level = []
-    for key in sorted(cells):
-        cell_of_level.extend([cells[key]] * len(cells[key]))
-
-    best: list[int] = []  # column values of the best encoding prefix
-    best_perm: list[int] = []
-    placed: list[int] = []
-    fresh = True  # the path improves on the best encoding seen so far
-    budget = LABEL_BUDGET
+    by: dict[tuple, int] = {}
+    for v, key in enumerate(keys):
+        by[key] = by.get(key, 0) | 1 << v
+    order = sorted(by)
+    cells = [by[key] for key in order]
+    twins: list[tuple[int, int]] = []
+    autos: list[tuple[int, ...]] = []
     spent = 0
+    if len(cells) < n:
+        # keys count neighbours by degree, so the cells are equitable against
+        # each degree class: all its cells but the first largest wait
+        queue: list[int] = []
+        i = 0
+        while i < len(cells):
+            j = i + 1
+            while j < len(cells) and order[j][0] == order[i][0]:
+                j += 1
+            if j - i > 1:
+                run = cells[i:j]
+                sizes = [c.bit_count() for c in run]
+                del run[sizes.index(max(sizes))]
+                queue += run
+            i = j
+        cells, spent = _refine(rows, cells, queue)
+    if len(cells) == n:
+        return (*_encode(rows, cells), twins, autos)
+    twin = _twin_masks(rows)
+    best: list = []  # encoding, perm and path of the best leaf
+    path: list[int] = []
 
-    def dfs(level: int, used: int) -> None:
-        nonlocal fresh, spent
-        if level == n:
-            # the last order to reach the best encoding is the one returned;
-            # isomorphism, and so every certificate's map, is built from it
-            if fresh:
-                leaves.clear()
-                fresh = False
-            else:
-                leaves.append(best_perm[:])
-            best_perm[:] = placed
-            return
-        cands = []
-        for v in cell_of_level[level]:
-            if used >> v & 1:
+    def dfs(cells: list[int]) -> int:
+        """Search below this node; the depth to resume at, or n."""
+        nonlocal spent
+        if len(cells) == n:
+            perm, enc = _encode(rows, cells)
+            if not best or enc < best[0]:
+                best[:] = enc, perm, path[:]
+            if enc != best[0] or perm is best[1]:
+                return n
+            autos.append(tuple(v for _, v in sorted(zip(best[1], perm))))
+            d = 0
+            while path[d] == best[2][d]:
+                d += 1
+            return d
+        depth = len(path)
+        sizes = [c.bit_count() if c & (c - 1) else n + 1 for c in cells]
+        t = sizes.index(min(sizes))
+        target, head, tail = cells[t], cells[:t], cells[t + 1:]
+        tried = 0
+        for v in _bits(target):
+            if twin[v] & tried:
+                twins.append((v, (twin[v] & tried).bit_length() - 1))
                 continue
-            rv = rows[v]
-            col = 0
-            for w in placed:
-                col = col << 1 | (rv >> w & 1)
-            cands.append((col, v))
-        spent += (level + 1) * len(cands)
-        if spent > budget:
-            raise LabellingBudgetError(budget, to_graph6(g))
-        cands.sort()
-        tried: list[tuple[int, int]] = []
-        for col, v in cands:
-            if level < len(best):
-                if col > best[level]:
-                    break
-                if col < best[level]:
-                    best[level] = col
-                    del best[level + 1:]
-                    fresh = True
+            tried |= 1 << v
+            if target & ~twin[v]:
+                child, reads = _refine(
+                    rows, head + [1 << v, target ^ 1 << v] + tail, [1 << v])
             else:
-                best.append(col)
-            # identical subtrees: skip v when a tried candidate with the
-            # same column is its interchangeable twin
-            skip = False
-            for c0, v0 in tried:
-                if c0 == col:
-                    excl = ~((1 << v) | (1 << v0))
-                    if rows[v] & excl == rows[v0] & excl:
-                        twins.append((v, v0))
-                        skip = True
-                        break
-            if skip:
-                continue
-            placed.append(v)
-            dfs(level + 1, used | 1 << v)
-            placed.pop()
-            tried.append((col, v))
+                # a cell of twins: its orders are twin-swap images of one,
+                # and every other vertex sees all of it or none: no refining
+                child, reads = head + [1 << w for w in _bits(target)] + tail, 0
+            spent += 1 + reads
+            if spent > LABEL_BUDGET:
+                raise LabellingBudgetError(LABEL_BUDGET, to_graph6(g))
+            path.append(v)
+            resume = dfs(child)
+            path.pop()
+            if resume < depth:
+                return resume
+        return n
 
-    dfs(0, 0)
-    return best_perm, twins, leaves
+    dfs(cells)
+    return best[1], best[0], twins, autos
 
 
-def _intern(g: Graph, perm: list[int]) -> Graph:
-    """g relabelled by perm, as the form cache's object for its class."""
-    pos = [0] * g.n
-    for i, v in enumerate(perm):
-        pos[v] = i
-    rows = [0] * g.n
-    for i, v in enumerate(perm):
-        m = 0
-        for w in _bits(g.rows[v]):
-            m |= 1 << pos[w]
-        rows[i] = m
-    form = Graph._make(g.n, tuple(rows))
+def _intern(n: int, rows: tuple[int, ...]) -> Graph:
+    """The graph with these rows, as the form cache's object for its class."""
+    form = Graph._make(n, rows)
     form = _FORMS.get(form, form)
     cache_insert(_FORMS, form, form)
     return form
@@ -217,25 +295,21 @@ def canonical_labelling(
     """(form, perm, generators) of one labelling search on g.
 
     form is canonical_form(g); perm[i] is the vertex of g placed at
-    position i of form; each generator p is an automorphism of g, p[v] the
-    image of v, and together they generate Aut(g) (none when it is
-    trivial).  The form is interned in the form cache, but g itself is not
-    memoised, so one-shot inputs do not fill the cache.  keys, when given,
-    is cell_keys(g.rows), computed by a caller that screened g with it.
+    position i of form, at the first leaf of the search, children in
+    ascending vertex order, that reaches the least encoding.  Each
+    generator p is an automorphism of g, p[v] the image of v, and
+    together they generate Aut(g) (none when it is trivial).  The form is
+    interned in the form cache, but g itself is not memoised, so one-shot
+    inputs do not fill the cache.  keys, when given, is cell_keys(g.rows),
+    computed by a caller that screened g with it.
     """
-    best, twins, leaves = _search(g, keys)
-    gens: dict[tuple[int, ...], None] = {}
-    ident = list(range(g.n))
+    perm, rows, twins, autos = _search(g, keys)
+    gens = dict.fromkeys(autos)
     for v, v0 in twins:
-        p = ident[:]
+        p = list(range(g.n))
         p[v], p[v0] = v0, v
         gens[tuple(p)] = None
-    for leaf in leaves:
-        p = ident[:]
-        for b, lv in zip(best, leaf):
-            p[b] = lv
-        gens[tuple(p)] = None
-    return _intern(g, best), tuple(best), list(gens)
+    return _intern(g.n, rows), tuple(perm), list(gens)
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -246,7 +320,7 @@ def canonical_form(g: Graph) -> Graph:
     form = _FORMS.get(g)
     if form is not None:
         return form
-    form = _intern(g, _search(g)[0])
+    form = _intern(g.n, _search(g)[1])
     cache_insert(_FORMS, g, form)
     return form
 
@@ -329,14 +403,7 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
         seen |= 1 << bestv
     hrows = host.rows
     hdeg = [r.bit_count() for r in hrows]
-    # each host vertex's twins, itself included: the vertices with its open
-    # neighbourhood and those with its closed one
-    opened: dict[int, int] = {}
-    closed: dict[int, int] = {}
-    for c, r in enumerate(hrows):
-        opened[r] = opened.get(r, 0) | 1 << c
-        closed[r | 1 << c] = closed.get(r | 1 << c, 0) | 1 << c
-    twins = [opened[r] | closed[r | 1 << c] for c, r in enumerate(hrows)]
+    twins = _twin_masks(hrows)
     # per level: the host vertices of high enough degree, and for each
     # earlier level whether the pattern wants an edge to it
     levels = []

@@ -49,7 +49,9 @@ RuntimeWarning that names the budget and the host.  Verdicts of the
 subtrees it finished are exact and stay memoised, so the query can be
 asked again and goes on from them.  _contains raises the limit's own
 error (OrbitLimitError, SearchBudgetError) instead.  Labelling is
-bounded by canon.LABEL_BUDGET, whose LabellingBudgetError passes through.
+bounded by canon.LABEL_BUDGET, 2^23 units of search nodes and refinement
+reads (no gadget or 18-vertex host spends 2,000), and its
+LabellingBudgetError passes through.
 """
 
 from __future__ import annotations

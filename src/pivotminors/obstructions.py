@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canon import canonical_form, canonical_key
+from .canon import LABELLING, canonical_form, canonical_key
 from .catalog import complete_multipartite, cycle_graph, path_graph, star_graph
 from .containment import PivotMinorCache, Verdict, contains_pivot_minor
 from .generate import class_order, extend_by_one_vertex
@@ -164,6 +164,7 @@ def save_obstruction_set(obs: ObstructionSet, directory: str | Path) -> None:
         "member_count": len(obs.members),
         "inconclusive_count": len(obs.inconclusive),
         "members_sha256": hashlib.sha256(lines.encode()).hexdigest(),
+        "labelling": LABELLING,
         "tool": {"name": "pivotminors", "version": __version__},
     }
     if obs.inconclusive:
@@ -178,6 +179,11 @@ def load_obstruction_set(directory: str | Path) -> ObstructionSet:
     manifest = json.loads((directory / "manifest.json").read_text())
     if not isinstance(manifest, dict):
         raise ValueError("manifest.json must hold a JSON object")
+    got = manifest.get("labelling")
+    if type(got) is not int or got != LABELLING:
+        raise ValueError(f"manifest.json field 'labelling' is {got!r}, not "
+                         f"{LABELLING}: the set was keyed by another "
+                         "canonical labelling; mine it again")
     lines = (directory / "members.g6").read_text()
     digest = hashlib.sha256(lines.encode()).hexdigest()
     if digest != manifest["members_sha256"]:

@@ -154,7 +154,13 @@ def _first_odd_root(g: Graph, bound: int) -> int | None:
     holds an odd cycle no longer than itself, so none closes below the odd
     girth 2d* + 1; at d* it is a shortest odd cycle, on which u and v lie
     at distance d* from r, inside r's BFS layer.  So walks find the same
-    roots as BFS layers, without a mask of the vertices reached."""
+    roots as BFS layers, without a mask of the vertices reached.  Layer 1
+    comes first and alone: its lowest root is the lowest vertex whose row
+    meets a neighbour's, and a scan in ascending order stops there."""
+    rows = g.rows
+    for r in range(g.n):
+        if any(rows[r] & rows[u] for u in _bits(rows[r])):
+            return r
     edges = list(g.edges())
     front = g.rows
     d = 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import random
 import time
 
@@ -23,9 +24,10 @@ from pivotminors import (
     named_graph,
     to_graph6,
 )
-from pivotminors import canon
+from pivotminors import canon, containment, from_graph6
 from pivotminors.canon import LabellingBudgetError
 from pivotminors.generate import KNOWN_CLASS_COUNTS, generate_all_graphs
+from pivotminors.matroids import fundamental_graph
 
 
 def all_labeled_graphs(n):
@@ -45,7 +47,11 @@ def brute_isomorphic(g, h):
                for p in itertools.permutations(range(g.n)))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+SLOW = os.environ.get("PIVOTMINORS_SLOW") == "1"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, pytest.param(6, marks=(
+    pytest.mark.skipif(not SLOW, reason="set PIVOTMINORS_SLOW=1 for n=6")))])
 def test_key_contract_exhaustive(n):
     # equal keys exactly for isomorphic graphs, over every labeled graph
     by_key = {}
@@ -154,7 +160,7 @@ def test_labelling_returns_the_automorphism_group():
 # recording the group must not move them; a new labelling (ROADMAP item 1)
 # re-pins this on purpose.
 PERMUTATION_DIGEST = (
-    "78cbf3893ba2f6c1dddc5864b185b1b034004c97474bc92ee21bf2684e2408ab")
+    "eadd83b2c502606aef8af480036b6c1f00b64ad2dd6e82b63619b38a2a0a2ba3")
 
 
 def test_canonical_permutations_are_pinned():
@@ -166,6 +172,62 @@ def test_canonical_permutations_are_pinned():
     text = "".join(",".join(map(str, canon.canonical_labelling(g)[1])) + "\n"
                    for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == PERMUTATION_DIGEST
+
+
+def random_regular(rng, n, d):
+    """A random simple d-regular graph on n vertices, by pairing stubs
+    and starting again on a loop or a double edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) * 2 == len(stubs) and all(u != v for u, v in pairs):
+            return Graph(n, sorted(pairs))
+
+
+def graphs_above_the_exhaustive_range():
+    """The reduce-cubic gadgets (the fundamental graphs of every connected
+    cubic graph on 4 to 10 vertices and of two on 12) with their one-vertex
+    reductions, 18-vertex distance-hereditary graphs, C16, Q4, Petersen,
+    7K2, and random 3- and 4-regular graphs on 12 to 20 vertices."""
+    from test_containment import grown_by_pendants_and_twins
+    from test_matroids import CUBIC_UP_TO_10
+
+    cubic = CUBIC_UP_TO_10 + ["I?LRCecq?", "KhEKAC`CGO_p", "K{CY?SBG?G_F"]
+    for g6 in cubic:
+        gadget = fundamental_graph(from_graph6(g6)).graph
+        yield gadget
+        yield from (r for _, _, r in containment._reductions(gadget))
+    for seed in (0, 1, 2, 3, 24):
+        yield grown_by_pendants_and_twins(random.Random(seed), 18)
+    q4 = Graph(16, [(u, u ^ 1 << b) for u in range(16) for b in range(4)
+                    if u < u ^ 1 << b])
+    yield from (named_graph("C16"), q4, symmetric_test_graphs()[3],
+                named_graph("7K2"))
+    rng = random.Random(25)
+    for d in (3, 4):
+        for n in range(12, 21):
+            if n * d % 2 == 0:
+                yield random_regular(rng, n, d)
+
+
+def test_forms_and_maps_are_invariant_above_the_exhaustive_range():
+    # each graph against three seeded relabellings of itself: one form,
+    # shared as one object, and maps that carry edges to edges
+    rng = random.Random(26)
+    count = 0
+    for g in graphs_above_the_exhaustive_range():
+        form = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            hform, order, _ = canon.canonical_labelling(h)
+            assert hform is form and relabel(h, list(order)) == form
+            phi = isomorphism(g, h)
+            assert sorted(phi) == list(range(g.n)) and relabel(h, phi) == g
+        count += 1
+    assert count > 500
 
 
 def test_labelling_does_not_memoise_its_input(monkeypatch):
@@ -199,15 +261,15 @@ def test_canonical_form_order_cap():
 
 
 def test_labelling_budget_names_its_input(monkeypatch):
-    # C16 costs 54.3 million work units; a budget of 2^16 stops it early
+    # C16 costs 1,437 work units; a budget of 2^10 stops it early
     g = named_graph("C16")
     monkeypatch.setattr(canon, "_FORMS", {})
-    monkeypatch.setattr(canon, "LABEL_BUDGET", 1 << 16)
+    monkeypatch.setattr(canon, "LABEL_BUDGET", 1 << 10)
     start = time.perf_counter()
     with pytest.raises(LabellingBudgetError) as err:
         canonical_form(g)
     assert time.perf_counter() - start < 1
-    assert err.value.budget == 1 << 16
+    assert err.value.budget == 1 << 10
     assert err.value.graph6 == to_graph6(g)
     assert "LABEL_BUDGET" in str(err.value) and to_graph6(g) in str(err.value)
     assert not canon._FORMS

@@ -417,8 +417,8 @@ def test_contains_answers_a_bipartite_host_without_room_above_the_cap(
         capsys, monkeypatch):
     # C64 is bipartite and C3 is not, so the side rule answers before the
     # host is canonicalised; P4's sides (2, 2) fit into C64's (32, 32), so
-    # that query labels the host, which spends the labelling budget (the
-    # default's in about 8 s, a low one here)
+    # that query labels the host, which spends a low labelling budget here
+    # (C64 costs 73,341 units)
     monkeypatch.setattr(canon, "_FORMS", {})
     monkeypatch.setattr(canon, "LABEL_BUDGET", 1 << 16)
     code, out, err = run(capsys, "contains", "--g", "C64", "--h", "C3")
@@ -439,6 +439,19 @@ def test_recognize_rejects_a_list_manifest(tmp_path, capsys):
                        "--obstructions", str(out_dir))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "manifest.json" in err, err
+
+
+def test_recognize_refuses_a_set_saved_without_a_labelling(tmp_path, capsys):
+    # a set saved before the field existed: its keys may name other graphs
+    out_dir = tmp_path / "obs"
+    run(capsys, "mine", "--h", "2P1", "--nmax", "3", "--out", str(out_dir))
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    del manifest["labelling"]
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "recognize", "--target", "2P1", "--in", "K3",
+                         "--obstructions", str(out_dir))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "field 'labelling' is None" in err and "mined for" not in err, err
 
 
 def test_recognize_refuses_an_obstruction_set_for_another_target(

@@ -505,8 +505,10 @@ def test_spent_search_budget_is_inconclusive_and_keeps_its_verdicts(
         monkeypatch):
     # distance-hereditary graphs are closed under pivot-minors (Bouchet)
     # and C5 is not one, so the answer is FALSE, after a whole search:
-    # 2,543 memo misses on a fresh cache, about 1.3 s.  The side rule
-    # cannot cut it, since the host is not bipartite
+    # 2,541 memo misses on a fresh cache, about 1.2 s; the count moves with
+    # the labelling, as contract_pivot pivots with the lowest-labelled
+    # neighbour.  The side rule cannot cut it, since the host is not
+    # bipartite
     host = grown_by_pendants_and_twins(random.Random(24), 18)
     assert is_connected(host) and not is_bipartite(host)
     c5 = named_graph("C5")
@@ -524,7 +526,7 @@ def test_spent_search_budget_is_inconclusive_and_keeps_its_verdicts(
     assert not any(cache.verdicts.values())
     monkeypatch.undo()
     assert contains_pivot_minor(host, c5, cache=cache) is Verdict.FALSE
-    assert cache.misses - 100 == 2543 - kept
+    assert cache.misses - 100 == 2541 - kept
 
 
 def test_orbit_limit_counts_the_start_member(monkeypatch):

@@ -94,9 +94,9 @@ GENERATION_DIGESTS = {
     3: "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea",
     4: "540e25859844d83039fbcbdbfe1b32e572e79962d14a4e6bad8c91d944341fd1",
     5: "9c92b891937c81e0304b70c79250de6ffced24dcd43453f73504065b29e19e9e",
-    6: "cea8a76d0a3354b6fdd7aa7ecfd255b81d648a8c70ae5ed9edf25290744cf28c",
-    7: "e3d7a4c0496ef86947b4f4d8702958d07b1b5cba4abd5293f99b8bdcc91cdc69",
-    8: "24ebf2a924fb975959293bb310a594b5bb5912ce8cddc62e9910204777269fd4",
+    6: "294cef9b1ba2f5d5ada7c4397fe79bb1ff9f52dd7faae10910b01510b5feb2ba",
+    7: "b909c41a106aa85883639bc0e28d7e65d56e015c8a336a1548af98c2dd425948",
+    8: "72e92bd41573d99b76b420d26fb4a65c397769d660ba0bfbe48915ef9b6afa7e",
 }
 
 

@@ -1,5 +1,7 @@
 """Mining minimal obstructions, persistence, bounds, and family builders."""
 
+import json
+
 import pytest
 
 from pivotminors import (
@@ -27,7 +29,7 @@ from pivotminors import (
     save_obstruction_set,
     star_graph,
 )
-from pivotminors import containment
+from pivotminors import canon, containment
 from pivotminors.obstructions import MINE_MAX_VERTICES
 
 
@@ -139,6 +141,29 @@ def test_load_rejects_checksum_mismatch(tmp_path, cache):
     members.write_text(members.read_text() + "Bw\n")
     with pytest.raises(ValueError):
         load_obstruction_set(tmp_path / "c3")
+
+
+def test_saved_manifest_names_its_labelling(tmp_path, cache):
+    save_obstruction_set(mine(named_graph("C3"), 4, cache=cache), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["labelling"] == canon.LABELLING == 2
+
+
+@pytest.mark.parametrize("labelling", [None, 1, 3, 2.0, "2"])
+def test_load_refuses_another_labelling(tmp_path, cache, labelling):
+    # keys of another labelling name other graphs: the loader refuses them
+    # by the manifest's field, not later by a misleading target mismatch
+    save_obstruction_set(mine(named_graph("C3"), 4, cache=cache), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if labelling is None:
+        del manifest["labelling"]
+    else:
+        manifest["labelling"] = labelling
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="field 'labelling' is "
+                       + repr(labelling).replace(".", r"\.")):
+        load_obstruction_set(tmp_path)
 
 
 def test_diff_obstruction_sets(cache):
