@@ -122,12 +122,13 @@ def _twin_masks(rows: tuple[int, ...]) -> list[int]:
 def _refine(rows, cells: list[int], queue: list[int]) -> tuple[list[int], int]:
     """(cells, reads): the ordered partition cells (vertex masks in position
     order), equitable against each cell not in queue, refined in place
-    until it is equitable, and the vertices of the cells tested.  A splitter s splits
-    each cell in place by its vertices' neighbours in s, fewest first (a
-    one-vertex s by its row, non-neighbours first).  All fragments of a
-    waiting cell wait, and all but the first largest of another, whose
-    counts follow from the rest (McKay's rule).  Positions and sets alone
-    steer each step, so refinement commutes with relabelling."""
+    until it is equitable, and the vertices of the cells tested.  A
+    splitter s splits each cell in place by its vertices' neighbours in s,
+    fewest first (a one-vertex s by its row, non-neighbours first).  All
+    fragments of a waiting cell wait, and all but the first largest of
+    another, whose counts follow from the rest (McKay's rule).  Positions
+    and sets alone steer each step, so refinement commutes with
+    relabelling."""
     n = len(rows)
     waiting = set(queue)
     reads = 0
@@ -209,26 +210,16 @@ def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
     by: dict[tuple, int] = {}
     for v, key in enumerate(keys):
         by[key] = by.get(key, 0) | 1 << v
-    order = sorted(by)
-    cells = [by[key] for key in order]
+    cells = [by[key] for key in sorted(by)]
     twins: list[tuple[int, int]] = []
     autos: list[tuple[int, ...]] = []
     spent = 0
     if len(cells) < n:
-        # keys count neighbours by degree, so the cells are equitable against
-        # each degree class: all its cells but the first largest wait
-        queue: list[int] = []
-        i = 0
-        while i < len(cells):
-            j = i + 1
-            while j < len(cells) and order[j][0] == order[i][0]:
-                j += 1
-            if j - i > 1:
-                run = cells[i:j]
-                sizes = [c.bit_count() for c in run]
-                del run[sizes.index(max(sizes))]
-                queue += run
-            i = j
+        # a cell shares one degree, so its counts in the cell left out
+        # follow from its counts in the rest (McKay's rule)
+        queue = cells[:]
+        sizes = [c.bit_count() for c in queue]
+        del queue[sizes.index(max(sizes))]
         cells, spent = _refine(rows, cells, queue)
     if len(cells) == n:
         return (*_encode(rows, cells), twins, autos)
@@ -260,13 +251,8 @@ def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
                 twins.append((v, (twin[v] & tried).bit_length() - 1))
                 continue
             tried |= 1 << v
-            if target & ~twin[v]:
-                child, reads = _refine(
-                    rows, head + [1 << v, target ^ 1 << v] + tail, [1 << v])
-            else:
-                # a cell of twins: its orders are twin-swap images of one,
-                # and every other vertex sees all of it or none: no refining
-                child, reads = head + [1 << w for w in _bits(target)] + tail, 0
+            child, reads = _refine(
+                rows, head + [1 << v, target ^ 1 << v] + tail, [1 << v])
             spent += 1 + reads
             if spent > LABEL_BUDGET:
                 raise LabellingBudgetError(LABEL_BUDGET, to_graph6(g))

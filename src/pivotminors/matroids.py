@@ -14,7 +14,7 @@ refuses graphs above HAMILTON_MAX_VERTICES (12), a limit of time: its
 backtracking is exponential in the order.  The containment side has no
 order cap.  The gadget of an n-vertex cubic graph has 3n/2 vertices, 18
 for n = 12, and labels in under 2,000 of canon.LABEL_BUDGET's units (the
-Petersen graph's in about 0.3 ms); a query that spends
+Petersen graph's in about 0.2 ms); a query that spends
 containment.SEARCH_BUDGET is INCONCLUSIVE, and the report's sides_agree
 is then None.
 """

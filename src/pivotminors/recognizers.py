@@ -155,15 +155,20 @@ def _first_odd_root(g: Graph, bound: int) -> int | None:
     girth 2d* + 1; at d* it is a shortest odd cycle, on which u and v lie
     at distance d* from r, inside r's BFS layer.  So walks find the same
     roots as BFS layers, without a mask of the vertices reached.  Layer 1
-    comes first and alone: its lowest root is the lowest vertex whose row
-    meets a neighbour's, and a scan in ascending order stops there."""
+    comes first and alone, from layer 2 built vertex by vertex: front[r]
+    is the union of r's neighbours' rows, and r lies on a triangle when it
+    meets rows[r], so the scan stops at the lowest such root."""
     rows = g.rows
+    front = []
     for r in range(g.n):
-        if any(rows[r] & rows[u] for u in _bits(rows[r])):
+        two = 0
+        for u in _bits(rows[r]):
+            two |= rows[u]
+        if two & rows[r]:
             return r
+        front.append(two)
     edges = list(g.edges())
-    front = g.rows
-    d = 1
+    d = 2
     while 2 * d + 1 < bound:
         inner, reach = 0, [0] * g.n
         for u, v in edges:

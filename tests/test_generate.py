@@ -94,9 +94,9 @@ GENERATION_DIGESTS = {
     3: "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea",
     4: "540e25859844d83039fbcbdbfe1b32e572e79962d14a4e6bad8c91d944341fd1",
     5: "9c92b891937c81e0304b70c79250de6ffced24dcd43453f73504065b29e19e9e",
-    6: "294cef9b1ba2f5d5ada7c4397fe79bb1ff9f52dd7faae10910b01510b5feb2ba",
-    7: "b909c41a106aa85883639bc0e28d7e65d56e015c8a336a1548af98c2dd425948",
-    8: "72e92bd41573d99b76b420d26fb4a65c397769d660ba0bfbe48915ef9b6afa7e",
+    6: "4dbc598e654a5b24d66615d450d3b482878ab2ebb2b97b871c0b1c145a4c80f9",
+    7: "c32833d7c3ad058e3ca8288f9b69b1c42d93aa45be08b1650cb1f1a3640f853c",
+    8: "cafe0aecc0764c9488803802eb0830038e1b707afd859bab404a22c9b02ca8af",
 }
 
 

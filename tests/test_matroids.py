@@ -251,15 +251,12 @@ I?KqlR?oG I?KydF?oG I?LRCegp? I?LRCigo_
 def test_reduction_roundtrip_agrees_on_cubic_graphs_up_to_10(monkeypatch):
     # a fresh cache per graph, so each query runs whole; a TRUE side stops
     # at its first TRUE child, and trying children richest first keeps the
-    # 25 Hamiltonian searches to 115 memo misses in all, one per node
+    # 25 Hamiltonian searches to 108 memo misses in all, one per node
     # explored above |h| + 1 vertices (114 when a node tried the distinct
-    # forms of its reductions, ties ordered by rows).  Equally rich children
-    # keep _reductions order, so the figure moves with the labelling: it
-    # was 108 under the column-by-column labelling, where I?CitbCw? took 6
-    # misses, not 13.  A reduction is labelled only when the search reaches
-    # it, so those searches run 137 labelling searches from a cold form
-    # cache (652 when a node above |h| + 2 labelled every reduction with
-    # room).
+    # forms of its reductions, ties ordered by rows).  A reduction is
+    # labelled only when the search reaches it, so those searches run 130
+    # labelling searches from a cold form cache (652 when a node above
+    # |h| + 2 labelled every reduction with room).
     # I?CxuB@w? has a bridge, so its gadget's components have sides
     # (3, 4), (3, 4) and (0, 1), none with room for K1,9: the side rule
     # answers at the root, before the host is canonicalised
@@ -283,5 +280,5 @@ def test_reduction_roundtrip_agrees_on_cubic_graphs_up_to_10(monkeypatch):
             labelled += len(searches)
         if g6 == "I?CxuB@w?":
             assert not cache.verdicts and not cache.children
-    assert explored <= 115
+    assert explored <= 108
     assert labelled <= 150

@@ -528,7 +528,7 @@ TARGETS = ("C3", "P4", "C4", "paw", "diamond", "2P2", "3P1", "claw")
 # obstruction name and certificate JSON without its "tool" field.  A new
 # canonical labelling (ROADMAP item 1) moves it, to be re-pinned on purpose.
 RECOGNIZER_DIGEST = (
-    "6a9a1c017d74fe6bf0bc549db10e1113aa023b54e04c32aa6047086e7cb9e158"
+    "354d45eda580f6bb1ad19ba9e3d09f279d04823e05a8e16fb4cd8d652a802051"
 )
 
 
