@@ -16,11 +16,13 @@ tables key on it, and graph6 (the canonical key) only encodes it for
 output.  LABELLING numbers this definition for keys stored on disk.
 
 One search finds the form and, on the way, generators of the graph's
-automorphism group: a transposition for each twin it skips, and a
-permutation for each leaf whose encoding equals the best one's.  Such a
-leaf ends the branch it lies in, the image of one already searched.
-canonical_labelling returns the form, the order and the generators;
-canonical_form and isomorphism use the same search.
+automorphism group: a permutation for each leaf whose encoding equals the
+best one's, and the twin classes it skips by.  Such a leaf ends the branch
+it lies in, the image of one already searched.  Swapping two twins is an
+automorphism, so canonical_labelling adds, per twin class, the
+transpositions of its least vertex with each other member, which generate
+the class's symmetric group.  It returns the form, the order and the
+generators; canonical_form and isomorphism use the same search.
 
 The search is bounded by its work, not by the order of its input: each
 node costs one unit plus the vertices its refinement reads, and a search
@@ -192,16 +194,18 @@ def _encode(rows, cells: list[int]) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
-    """The labelling search of the module docstring: (perm, rows, twins,
+    """The labelling search of the module docstring: (perm, rows, twin,
     autos).  perm is the first leaf in search order with the least
     encoding, rows that encoding; cells split only in place, so perm[-1]
-    lies in the largest cell_keys cell.  twins holds (v, v0) for each child
-    v skipped as the twin of a searched child v0, and autos the map best ->
-    leaf for each leaf that repeats the best encoding of its time; that
-    leaf ends the search below the node where its path leaves the best
-    one's.  Only subtrees that these automorphisms map onto searched ones
-    are skipped, so the least encoding is a class invariant and they
-    generate Aut(g).  keys, when given, is cell_keys(g.rows).
+    lies in the largest cell_keys cell.  twin is _twin_masks(g.rows), by
+    which the search skips a child that is the twin of a searched one (()
+    when the root partition is discrete, so that Aut(g) is trivial), and
+    autos the map best -> leaf for each leaf that repeats the best encoding
+    of its time; that leaf ends the search below the node where its path
+    leaves the best one's.  Only subtrees that these automorphisms and twin
+    swaps map onto searched ones are skipped, so the least encoding is a
+    class invariant and together they generate Aut(g).  keys, when given,
+    is cell_keys(g.rows).
     """
     n = g.n
     rows = g.rows
@@ -211,7 +215,6 @@ def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
     for v, key in enumerate(keys):
         by[key] = by.get(key, 0) | 1 << v
     cells = [by[key] for key in sorted(by)]
-    twins: list[tuple[int, int]] = []
     autos: list[tuple[int, ...]] = []
     spent = 0
     if len(cells) < n:
@@ -222,7 +225,7 @@ def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
         del queue[sizes.index(max(sizes))]
         cells, spent = _refine(rows, cells, queue)
     if len(cells) == n:
-        return (*_encode(rows, cells), twins, autos)
+        return (*_encode(rows, cells), (), autos)
     twin = _twin_masks(rows)
     best: list = []  # encoding, perm and path of the best leaf
     path: list[int] = []
@@ -248,7 +251,6 @@ def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
         tried = 0
         for v in _bits(target):
             if twin[v] & tried:
-                twins.append((v, (twin[v] & tried).bit_length() - 1))
                 continue
             tried |= 1 << v
             child, reads = _refine(
@@ -264,7 +266,7 @@ def _search(g: Graph, keys: list[tuple[int, ...]] | None = None):
         return n
 
     dfs(cells)
-    return best[1], best[0], twins, autos
+    return best[1], best[0], twin, autos
 
 
 def _intern(n: int, rows: tuple[int, ...]) -> Graph:
@@ -284,17 +286,22 @@ def canonical_labelling(
     position i of form, at the first leaf of the search, children in
     ascending vertex order, that reaches the least encoding.  Each
     generator p is an automorphism of g, p[v] the image of v, and
-    together they generate Aut(g) (none when it is trivial).  The form is
-    interned in the form cache, but g itself is not memoised, so one-shot
-    inputs do not fill the cache.  keys, when given, is cell_keys(g.rows),
-    computed by a caller that screened g with it.
+    together they generate Aut(g) (none when it is trivial): first the
+    maps between leaves with equal encodings, then, for each twin class of
+    two or more vertices, the transposition of its least vertex with each
+    other member.  The form is interned in the form cache, but g itself is
+    not memoised, so one-shot inputs do not fill the cache.  keys, when
+    given, is cell_keys(g.rows), computed by a caller that screened g
+    with it.
     """
-    perm, rows, twins, autos = _search(g, keys)
+    perm, rows, twin, autos = _search(g, keys)
     gens = dict.fromkeys(autos)
-    for v, v0 in twins:
-        p = list(range(g.n))
-        p[v], p[v0] = v0, v
-        gens[tuple(p)] = None
+    for cls in dict.fromkeys(twin):
+        v0 = (cls & -cls).bit_length() - 1
+        for v in _bits(cls & (cls - 1)):
+            p = list(range(g.n))
+            p[v], p[v0] = v0, v
+            gens[tuple(p)] = None
     return _intern(g.n, rows), tuple(perm), list(gens)
 
 

@@ -16,11 +16,11 @@ target cuts, so one stored list serves every target.  A child is
 screened by the side rule when the search reaches it, and labelled only
 if the rule passes it; its form keys the verdict memo, so the search does
 not depend on how the input is labelled.  A graph on |h| + 1 vertices is
-not labelled at all (_settle_last): it computes the edge count and degree
-sequence of each reduction from its rows, and builds and canonicalises
-only those that match an orbit form (no other can be in the orbit),
-stopping at the first in the orbit.  Its verdict depends only on its
-class and is not memoised.
+not labelled at all: _screened_reductions computes the edge count and
+degree sequence of each reduction from its rows, and only those that
+match an orbit form (no other can be in the orbit) are built and
+canonicalised, stopping at the first in the orbit.  Its verdict depends
+only on its class and is not memoised.
 
 Children are tried richest first, by descending degree sequence, as a
 heuristic: a search that answers TRUE stops at its first TRUE child, and
@@ -201,17 +201,6 @@ def _side_sizes(g: Graph) -> list[tuple[int, int]] | None:
         tuple(sorted((a.bit_count(), b.bit_count()))) for a, b in comps]
 
 
-def _settle_last(g: Graph, orbit: frozenset, degrees: frozenset,
-                 sizes: frozenset) -> bool:
-    """Is some one-vertex reduction of the labelled graph g, on |h| + 1
-    vertices, in h's pivot orbit: its forms, their degree sequences and
-    their edge counts?  Only a reduction with an orbit form's edge count
-    and degree sequence can be in the orbit, so only those are built and
-    canonicalised; stops at the first in the orbit."""
-    return any(canonical_form(r) in orbit
-               for r in _screened_reductions(g, degrees, sizes))
-
-
 class PivotMinorCache:
     """Shared memo for containment queries.
 
@@ -328,7 +317,8 @@ def _contains(g: Graph, h: Graph, cache: PivotMinorCache) -> bool:
         # cur is labelled and has room: every graph is screened before it
         # is labelled, and one on |h| + 1 vertices is settled on its labels
         if cur.n == th.n + 1:
-            return _settle_last(cur, orbit, degrees, sizes)
+            return any(canonical_form(r) in orbit
+                       for r in _screened_reductions(cur, degrees, sizes))
         form = canonical_form(cur)
         found = verdicts.get((form, th))
         if found is not None:

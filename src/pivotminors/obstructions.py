@@ -184,6 +184,15 @@ def load_obstruction_set(directory: str | Path) -> ObstructionSet:
         raise ValueError(f"manifest.json field 'labelling' is {got!r}, not "
                          f"{LABELLING}: the set was keyed by another "
                          "canonical labelling; mine it again")
+    for name in ("target_name", "target_key", "members_sha256"):
+        if not isinstance(manifest.get(name), str):
+            raise ValueError(f"manifest.json field {name!r} is "
+                             f"{manifest.get(name)!r}, not a string")
+    depth = manifest.get("complete_up_to")
+    # True == 1 and 3.0 == 3, so only the type tells them from an order
+    if type(depth) is not int or depth < 0:
+        raise ValueError(f"manifest.json field 'complete_up_to' is {depth!r}, "
+                         "not a non-negative integer")
     lines = (directory / "members.g6").read_text()
     digest = hashlib.sha256(lines.encode()).hexdigest()
     if digest != manifest["members_sha256"]:

@@ -116,21 +116,15 @@ def _shortest_odd_cycle(g: Graph) -> list[int]:
     """Vertices of a shortest odd cycle in cyclic order: the walk of the
     first root, in ascending order, whose BFS meets an edge inside a layer
     at the odd girth, as the scan of one root after another returns it.
-    Root 0's tree is grown first: a triangle through 0 answers at once,
-    and a longer walk bounds the layers.  _first_odd_root then finds the
-    winning root with every root's BFS grown at once, and only its tree is
-    grown.  Minimality makes the walk a chordless cycle, which the caller
-    relies on.  Requires a non-bipartite graph.
+    _first_odd_root finds that root with every root's BFS grown at once,
+    and only its tree is grown.  Minimality makes the walk a chordless
+    cycle, which the caller relies on.  Requires a non-bipartite graph.
     """
-    rows = g.rows
-    best = _odd_walk(rows, 0, g.n + 1) if g.n else None
-    bound = len(best) if best else g.n + 1
-    if bound > 3:
-        root = _first_odd_root(g, bound)
-        if root is not None:
-            best = _odd_walk(rows, root, bound)
-    if best is None:
+    root = _first_odd_root(g)
+    if root is None:
         raise ValueError("graph is bipartite, no odd cycle exists")
+    rows = g.rows
+    best = _odd_walk(rows, root)
     k = len(best)
     assert k % 2 == 1
     # a simple cycle without chords: each vertex sees exactly its two
@@ -145,31 +139,31 @@ def _shortest_odd_cycle(g: Graph) -> list[int]:
     return best
 
 
-def _first_odd_root(g: Graph, bound: int) -> int | None:
+def _first_odd_root(g: Graph) -> int | None:
     """The lowest root whose BFS has an edge inside layer d, for the least
-    such d with 2d + 1 < bound, or None.  All roots grow at once, as
-    bitsets over the roots: front[v] holds the roots with a walk of d
+    such d, or None when the graph is bipartite.  All roots grow at once,
+    as bitsets over the roots: front[v] holds the roots with a walk of d
     edges to v (layer 1 is the rows), and an edge uv with r in front[u] &
     front[v] closes an odd walk of length 2d + 1 through r.  Such a walk
     holds an odd cycle no longer than itself, so none closes below the odd
     girth 2d* + 1; at d* it is a shortest odd cycle, on which u and v lie
     at distance d* from r, inside r's BFS layer.  So walks find the same
     roots as BFS layers, without a mask of the vertices reached.  Layer 1
-    comes first and alone, from layer 2 built vertex by vertex: front[r]
-    is the union of r's neighbours' rows, and r lies on a triangle when it
-    meets rows[r], so the scan stops at the lowest such root."""
+    is settled root by root while layer 2 is built: front[r] is the union
+    of r's neighbours' rows, and r lies on a triangle as soon as one of
+    them meets rows[r], so the scan stops at the lowest such root.  An odd
+    cycle has at most n vertices, so no layer past n // 2 is grown."""
     rows = g.rows
     front = []
     for r in range(g.n):
-        two = 0
-        for u in _bits(rows[r]):
+        row, two = rows[r], 0
+        for u in _bits(row):
+            if rows[u] & row:
+                return r
             two |= rows[u]
-        if two & rows[r]:
-            return r
         front.append(two)
     edges = list(g.edges())
-    d = 2
-    while 2 * d + 1 < bound:
+    for _ in range(2, g.n // 2 + 1):
         inner, reach = 0, [0] * g.n
         for u, v in edges:
             fu, fv = front[u], front[v]
@@ -179,31 +173,30 @@ def _first_odd_root(g: Graph, bound: int) -> int | None:
         if inner:
             return (inner & -inner).bit_length() - 1
         front = reach
-        d += 1
     return None
 
 
-def _odd_walk(rows: tuple[int, ...], root: int, bound: int) -> list[int] | None:
+def _odd_walk(rows: tuple[int, ...], root: int) -> list[int]:
     """The odd closed walk of root's BFS tree at its first edge inside a
-    layer d, if 2d + 1 < bound, else None.  Layers are in discovery order
-    and every vertex's parent is its first discoverer; the edge is the
-    first inside the layer (_first_inner_edge), and the walk runs from
-    its one end up the tree to root and down to the other.  If the tree
-    paths meet below root, at x, they close a shorter odd cycle through
-    x; at the shortest length they meet only at root, and the walk is a
-    cycle."""
+    layer, for a root whose BFS has one.  Layers are in discovery order and
+    every vertex's parent is its first discoverer; the edge is the
+    lexicographically first uv, u < v, inside the layer, and the walk runs
+    from u up the tree to root and down to v.  If the tree paths meet below
+    root, at x, they close a shorter odd cycle through x; at the shortest
+    length they meet only at root, and the walk is a cycle."""
     parent = [0] * len(rows)
     layer, mask = [root], 1 << root
     seen = mask
     d = 0
-    while layer and 2 * d + 1 < bound:
-        edge = _first_inner_edge(rows, mask)
-        if edge is not None:
-            pu, pv = [edge[0]], [edge[1]]
-            for _ in range(d):
-                pu.append(parent[pu[-1]])
-                pv.append(parent[pv[-1]])
-            return pu[::-1] + pv[:-1]
+    while layer:
+        for u in _bits(mask):
+            above = rows[u] & mask >> (u + 1) << (u + 1)
+            if above:
+                pu, pv = [u], [(above & -above).bit_length() - 1]
+                for _ in range(d):
+                    pu.append(parent[pu[-1]])
+                    pv.append(parent[pv[-1]])
+                return pu[::-1] + pv[:-1]
         nxt, mask = [], 0
         for u in layer:
             new = rows[u] & ~seen
@@ -214,17 +207,7 @@ def _odd_walk(rows: tuple[int, ...], root: int, bound: int) -> list[int] | None:
                 nxt.append(w)
         layer = nxt
         d += 1
-    return None
-
-
-def _first_inner_edge(rows: tuple[int, ...], mask: int) -> tuple[int, int] | None:
-    """The first edge uv, u < v in lexicographic order, with both ends in
-    mask, or None."""
-    for u in _bits(mask):
-        above = rows[u] & mask >> (u + 1) << (u + 1)
-        if above:
-            return u, (above & -above).bit_length() - 1
-    return None
+    raise AssertionError("root's BFS has no edge inside a layer")
 
 
 def _search_obstructions(

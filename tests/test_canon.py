@@ -155,6 +155,19 @@ def test_labelling_returns_the_automorphism_group():
         assert len(group_closure(gens, g.n)) == brute_automorphism_count(g)
 
 
+def test_a_twin_class_gives_one_transposition_per_other_member():
+    # 64K1 and K8 are one twin class each, whose search skips twins at every
+    # level; K4,4 has two classes of 4 and a leaf map that swaps the sides
+    for g, count in ((Graph(64), 63), (complete_graph(8), 7),
+                     (complete_multipartite((4, 4)), 7)):
+        gens = canon.canonical_labelling(g)[2]
+        assert len(gens) == count
+        for p in gens:
+            assert relabel(g, list(p)) == g
+    assert all(sum(a != b for a, b in enumerate(p)) == 2
+               for p in canon.canonical_labelling(Graph(64))[2])
+
+
 # sha256 of the canonical permutations of the graphs below, one line each.
 # They set the maps that isomorphism returns and certificates store, so
 # recording the group must not move them; a new labelling (ROADMAP item 1)

@@ -454,6 +454,21 @@ def test_recognize_refuses_a_set_saved_without_a_labelling(tmp_path, capsys):
     assert "field 'labelling' is None" in err and "mined for" not in err, err
 
 
+def test_recognize_refuses_a_string_depth(tmp_path, capsys):
+    # the depth is compared with the proved bound: a string there once
+    # ended in a TypeError and a traceback
+    out_dir = tmp_path / "obs"
+    run(capsys, "mine", "--h", "2P1", "--nmax", "3", "--out", str(out_dir))
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    manifest["complete_up_to"] = "3"
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "recognize", "--target", "2P1", "--in", "C4",
+                         "--obstructions", str(out_dir))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: manifest.json field 'complete_up_to' is '3', not "
+                   "a non-negative integer\n"), err
+
+
 def test_recognize_refuses_an_obstruction_set_for_another_target(
         tmp_path, capsys):
     out_dir = tmp_path / "c3"

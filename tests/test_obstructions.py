@@ -1,6 +1,8 @@
 """Mining minimal obstructions, persistence, bounds, and family builders."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -124,6 +126,20 @@ def test_p2_plus_p1_sweep_reaches_its_bound(cache):
     assert record.obstructions.member_keys == ("BG", "C]", "C^")
 
 
+@pytest.mark.skipif(os.environ.get("PIVOTMINORS_SLOW") != "1",
+                    reason="set PIVOTMINORS_SLOW=1 to mine K1,2 to n = 15")
+def test_k12_sweep_reaches_its_bound(cache):
+    # ROADMAP item 10 asks for this in under 30 s and 500 MB; generation
+    # builds one 2^(n-1) mask table per generator of each parent, so it
+    # rests on a twin class of k vertices giving k - 1 transpositions
+    # (17 s and 65 MB on a 2-core machine)
+    record = check_bound("K1,t", 2, 15, cache=cache)
+    assert record.bound == 15
+    assert record.covered and record.bound_respected
+    assert record.inconclusive_count == 0
+    assert record.obstructions.member_keys == (canonical_key(path_graph(3)),)
+
+
 def test_save_load_roundtrip(tmp_path, cache):
     obs = mine(named_graph("C3"), 5, cache=cache, target_name="C3")
     save_obstruction_set(obs, tmp_path / "c3")
@@ -163,6 +179,27 @@ def test_load_refuses_another_labelling(tmp_path, cache, labelling):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="field 'labelling' is "
                        + repr(labelling).replace(".", r"\.")):
+        load_obstruction_set(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("complete_up_to", "3"), ("complete_up_to", True),
+    ("complete_up_to", 3.0), ("complete_up_to", -1),
+    ("complete_up_to", None), ("target_name", 7), ("target_name", None),
+    ("target_key", ["Bw"]), ("members_sha256", 0)])
+def test_load_refuses_a_malformed_field(tmp_path, cache, field, value):
+    # None stands for a missing field; each is refused by name at load time,
+    # not later where recognize_bounded compares or a lookup fails
+    save_obstruction_set(mine(named_graph("C3"), 4, cache=cache), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if value is None:
+        del manifest[field]
+    else:
+        manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"field '{field}' is "
+                       + re.escape(repr(value))):
         load_obstruction_set(tmp_path)
 
 

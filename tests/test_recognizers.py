@@ -416,9 +416,9 @@ def _grown_trees(monkeypatch):
     roots = []
     grow = recognizers._odd_walk
 
-    def spy(rows, root, bound):
+    def spy(rows, root):
         roots.append(root)
-        return grow(rows, root, bound)
+        return grow(rows, root)
 
     monkeypatch.setattr(recognizers, "_odd_walk", spy)
     return roots
@@ -439,13 +439,14 @@ def test_shortest_odd_cycle_lowest_root_wins_a_tie(monkeypatch):
         cycle = recognizers._shortest_odd_cycle(g)
         assert cycle == reference_shortest_odd_cycle(g)
         assert min(cycle) == 2 and set(cycle) == set(a if 2 in a else b)
-        assert roots == [0, 2]
+        assert roots == [2]
         monkeypatch.undo()
 
 
 def test_shortest_odd_cycle_answers_a_triangle_through_root_0(monkeypatch):
-    # the triangle bounds the layers, so no all-roots layer is built
-    def no_layers(g, bound):
+    # the triangle scan stops at root 0, so no all-roots layer is built:
+    # those layers are the only reader of Graph.edges in the kernel
+    def no_layers(self):
         raise AssertionError("an all-roots layer was built")
 
     rng = random.Random(3)
@@ -454,11 +455,11 @@ def test_shortest_odd_cycle_answers_a_triangle_through_root_0(monkeypatch):
                     + [(i, i + 1) for i in range(37)]),
               _gnp(rng, 64, 0.9)):
         roots = _grown_trees(monkeypatch)
-        monkeypatch.setattr(recognizers, "_first_odd_root", no_layers)
+        monkeypatch.setattr(Graph, "edges", no_layers)
         cycle = recognizers._shortest_odd_cycle(g)
+        monkeypatch.undo()
         assert len(cycle) == 3 and 0 in cycle and roots == [0]
         assert cycle == reference_shortest_odd_cycle(g)
-        monkeypatch.undo()
 
 
 def test_shortest_odd_cycle_when_root_0_is_off_the_cycle():
@@ -485,12 +486,12 @@ def test_shortest_odd_cycle_when_root_0_is_off_the_cycle():
         assert cycle == reference_shortest_odd_cycle(g), g
 
 
-def test_shortest_odd_cycle_grows_at_most_two_trees_on_c63(monkeypatch):
+def test_shortest_odd_cycle_grows_one_tree_on_c63(monkeypatch):
     # the per-root scan grew one tree per vertex, 63 of them, on C63
     for g in (cycle_graph(63), _relabelled(cycle_graph(63), random.Random(63))):
         roots = _grown_trees(monkeypatch)
         assert len(recognizers._shortest_odd_cycle(g)) == 63
-        assert len(roots) <= 2
+        assert len(roots) == 1
         monkeypatch.undo()
 
 
