@@ -121,10 +121,10 @@ def find_pivot_minor_sequence(
     after PivotEdge(z, v) for a contract-pivot.
 
     Returns None when h is not a pivot-minor of g.  Raises the error of
-    the limit a query hits: OrbitLimitError when h's pivot orbit has more
-    than containment.ORBIT_LIMIT members, SearchBudgetError when a query
-    spends containment.SEARCH_BUDGET.  Replays of the result are
-    validated by the caller's tests rather than trusted.
+    the limit a query hits, one of containment.LIMITS: OrbitLimitError,
+    SearchBudgetError, or LabellingBudgetError when a labelling spends
+    canon.LABEL_BUDGET.  Replays of the result are validated by the
+    caller's tests rather than trusted.
     """
     if cache is None:
         cache = containment.DEFAULT_CACHE

@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Graphs are given as named graphs ("C5", "2P2", "K1,3"), file paths
-(graph6 or "n m" edge-list format, sniffed), or literal graph6 strings
-prefixed with "g6:".  Exit codes: 0 for definite results, 2 for
-inconclusive or truncation-limited results, 1 for usage errors and
-failed verifications.  A spent resource limit (the orbit limit, the
-labelling or the containment search budget) is inconclusive: exit 2,
-with "inconclusive: " and the limit's message on stderr; contains also
-prints the verdict "inconclusive" on stdout.
+Graphs are given as literal graph6 strings prefixed with "g6:", named
+graphs ("C5", "2P2", "K1,3") or file paths (graph6 or "n m" edge lists,
+sniffed), tried in that order.  Exit codes: 0 for definite results, 2
+for inconclusive or truncation-limited results, 1 for usage errors and
+failed verifications.  A spent resource limit (containment.LIMITS) is
+inconclusive: exit 2, with "inconclusive: " and the limit's message as
+one stderr line, as every warning is; contains also prints the verdict
+"inconclusive" on stdout.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ import hashlib
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
-from . import __version__, containment
-from .canon import LabellingBudgetError, canonical_key
-from .catalog import is_named_graph, named_graph
+from . import __version__
+from .canon import canonical_key
+from .catalog import named_graph
 from .certificates import Certificate, find_pivot_minor_sequence, steps_to_json, verify_certificate
-from .containment import (
-    OrbitLimitError, SearchBudgetError, Verdict, pivot_orbit)
+from .containment import LIMITS, contains_pivot_minor, pivot_orbit
 from .generate import generate_all_graphs
 from .graphs import Graph, pivot
-from .io import parse_graph_text, read_graphs, to_edgelist, to_graph6
+from .io import read_graphs, to_edgelist, to_graph6
 from .matroids import reduction_roundtrip
 from .obstructions import (
     BOUND_FAMILIES,
@@ -61,19 +61,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_graph_arg(spec: str) -> Graph:
-    """Resolve a graph argument: name, then file, then g6: literal."""
+def load_graphs_arg(spec: str) -> list[Graph]:
+    """Resolve a graph argument: a g6: literal, then a name, then a file,
+    which may hold several graphs (see io.read_graphs)."""
     if spec.startswith("g6:"):
-        return parse_graph_text(spec[3:])
-    if is_named_graph(spec):
-        return named_graph(spec)
-    path = Path(spec)
-    if path.exists():
-        return parse_graph_text(path.read_text())
-    raise UsageError(
-        f"{spec!r} is neither a known graph name nor an existing file; "
-        "prefix literals with g6:"
-    )
+        return read_graphs(spec[3:])
+    try:
+        return [named_graph(spec)]
+    except (KeyError, ValueError):
+        if not Path(spec).exists():
+            raise UsageError(f"{spec!r} is neither a known graph name nor an "
+                             "existing file; prefix literals with g6:") from None
+    return read_graphs(Path(spec).read_text())
+
+
+def load_graph_arg(spec: str) -> Graph:
+    """The one graph of a graph argument (see load_graphs_arg)."""
+    graphs = load_graphs_arg(spec)
+    if len(graphs) > 1:
+        raise UsageError(f"expected one graph, {spec!r} holds {len(graphs)}")
+    return graphs[0]
 
 
 def _graph_meta(g: Graph) -> dict:
@@ -122,13 +129,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_contains(args) -> int:
     g = load_graph_arg(args.g)
     h = load_graph_arg(args.h)
-    try:
-        found = containment._contains(g, h, containment.DEFAULT_CACHE)
-    except (LabellingBudgetError, OrbitLimitError, SearchBudgetError) as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = Verdict.TRUE if found else Verdict.FALSE
+    verdict = contains_pivot_minor(g, h)
     if args.json:
         _emit_json({
             "inputs": {"g": _graph_meta(g), "h": _graph_meta(h)},
@@ -312,10 +313,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    path = Path(args.input)
-    graphs = (read_graphs(path.read_text()) if path.exists()
-              else [load_graph_arg(args.input)])
-    reports = [reduction_roundtrip(g) for g in graphs]
+    reports = [reduction_roundtrip(g) for g in load_graphs_arg(args.input)]
     payload = {"reports": reports}
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
@@ -437,15 +435,21 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
-    except (LabellingBudgetError, OrbitLimitError, SearchBudgetError) as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (UsageError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # each distinct warning message is one stderr line
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        try:
+            args = parser.parse_args(argv)
+            return args.fn(args)
+        except LIMITS as exc:
+            print(f"inconclusive: {exc}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+        except (UsageError, ValueError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in seen):
+                print(message, file=sys.stderr)
 
 
 if __name__ == "__main__":

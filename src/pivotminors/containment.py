@@ -36,22 +36,22 @@ pivot-minor lies in one component, with sides no larger.  The rule
 screens every labelled graph, the input too, before it is canonicalised,
 so a bipartite input without room is FALSE whatever its order.
 
-Two resource limits bound a query, and each shows up as INCONCLUSIVE,
-never as a silent false.  Pivoting an edge is a principal pivot
-transform of the adjacency matrix over GF(2), so every labelled member of
-the orbit of an n-vertex graph is g * X for an even vertex set X with
-A[X] nonsingular: at most 2^(n-1) members.  ORBIT_LIMIT = 2^20 therefore
-binds only on targets of 22 or more vertices, and it guards pivot_orbit,
-which takes any graph; whether the target's orbit fits is decided once,
-before the search.  SEARCH_BUDGET bounds the search itself: a query may
-compute that many verdicts (memo misses), and the next one ends it with a
-RuntimeWarning that names the budget and the host.  Verdicts of the
+Three limits bound a query, and one rule covers them: LIMITS names their
+errors, and contains_pivot_minor answers INCONCLUSIVE for each, with a
+RuntimeWarning that names the limit and the graph, never a silent false.
+Pivoting an edge is a principal pivot transform of the adjacency matrix
+over GF(2), so every labelled member of the orbit of an n-vertex graph is
+g * X for an even vertex set X with A[X] nonsingular: at most 2^(n-1)
+members.  ORBIT_LIMIT = 2^20 therefore binds only on targets of 22 or
+more vertices, and it guards pivot_orbit, which takes any graph; whether
+the target's orbit fits is decided once, before the search.
+SEARCH_BUDGET bounds the search itself: a query may compute that many
+verdicts (memo misses), and the next one ends it.  Verdicts of the
 subtrees it finished are exact and stay memoised, so the query can be
-asked again and goes on from them.  _contains raises the limit's own
-error (OrbitLimitError, SearchBudgetError) instead.  Labelling is
-bounded by canon.LABEL_BUDGET, 2^23 units of search nodes and refinement
-reads (no gadget or 18-vertex host spends 2,000), and its
-LabellingBudgetError passes through.
+asked again and goes on from them.  Labelling is bounded by
+canon.LABEL_BUDGET, 2^23 units of search nodes and refinement reads (no
+gadget or 18-vertex host spends 2,000).  _contains, pivot_orbit and
+pivot_equivalent raise the limit's own error instead.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import warnings
 from collections import deque
 from collections.abc import Iterator
 
-from .canon import cache_insert, canonical_form
+from .canon import LabellingBudgetError, cache_insert, canonical_form
 from .graphs import (
     Graph, _bits, component_sides, contract_pivot, delete_vertex, pivot)
 from .io import to_graph6
@@ -76,11 +76,13 @@ SEARCH_BUDGET = 1 << 15
 
 
 class OrbitLimitError(RuntimeError):
-    """Raised when a pivot-orbit enumeration exceeds its member limit."""
+    """Raised when a pivot-orbit enumeration exceeds ORBIT_LIMIT members."""
 
-    def __init__(self, limit: int):
-        super().__init__(f"pivot orbit exceeded the limit of {limit} members")
+    def __init__(self, limit: int, graph6: str):
+        super().__init__(
+            f"pivot orbit exceeded ORBIT_LIMIT = {limit} members on {graph6}")
         self.limit = limit
+        self.graph6 = graph6
 
 
 class SearchBudgetError(RuntimeError):
@@ -126,7 +128,7 @@ def pivot_orbit(g: Graph) -> dict[Graph, tuple[Graph, int, int] | None]:
         # each member is queued when it joins, so every count is checked,
         # g's alone too
         if len(links) > limit:
-            raise OrbitLimitError(limit)
+            raise OrbitLimitError(limit, to_graph6(g))
         cur = queue.popleft()
         for u, v in cur.edges():
             nxt = pivot(cur, u, v)
@@ -266,6 +268,7 @@ class PivotMinorCache:
 
 
 DEFAULT_CACHE = PivotMinorCache()
+LIMITS = (LabellingBudgetError, OrbitLimitError, SearchBudgetError)
 
 
 def contains_pivot_minor(
@@ -273,14 +276,12 @@ def contains_pivot_minor(
 ) -> Verdict:
     """Does g contain h as a pivot-minor?
 
-    INCONCLUSIVE exactly when h's pivot orbit has more than ORBIT_LIMIT
-    labelled members or the search spends SEARCH_BUDGET, which also
-    warns; otherwise the search is exact."""
+    INCONCLUSIVE exactly when the query spends one of LIMITS (ORBIT_LIMIT,
+    SEARCH_BUDGET, canon.LABEL_BUDGET), with a warning that names the limit
+    and the graph; otherwise the search is exact."""
     try:
         found = _contains(g, h, DEFAULT_CACHE if cache is None else cache)
-    except OrbitLimitError:
-        return Verdict.INCONCLUSIVE
-    except SearchBudgetError as exc:
+    except LIMITS as exc:
         warnings.warn(f"inconclusive: {exc}", RuntimeWarning, stacklevel=2)
         return Verdict.INCONCLUSIVE
     return Verdict.TRUE if found else Verdict.FALSE
@@ -288,7 +289,7 @@ def contains_pivot_minor(
 
 def _contains(g: Graph, h: Graph, cache: PivotMinorCache) -> bool:
     """contains_pivot_minor's search, which raises the error of the limit
-    it hits: OrbitLimitError or SearchBudgetError."""
+    it hits, one of LIMITS."""
     if h.n == 0:
         return True
     if g.n < h.n:
@@ -296,7 +297,7 @@ def _contains(g: Graph, h: Graph, cache: PivotMinorCache) -> bool:
     th = canonical_form(h)
     target = cache.target_orbit_keys(th)
     if target is None:
-        raise OrbitLimitError(ORBIT_LIMIT)
+        raise OrbitLimitError(ORBIT_LIMIT, to_graph6(h))
     orbit, degrees = target
     sizes = frozenset(sum(s) >> 1 for s in degrees)
     verdicts = cache.verdicts

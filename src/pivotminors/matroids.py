@@ -14,9 +14,9 @@ refuses graphs above HAMILTON_MAX_VERTICES (12), a limit of time: its
 backtracking is exponential in the order.  The containment side has no
 order cap.  The gadget of an n-vertex cubic graph has 3n/2 vertices, 18
 for n = 12, and labels in under 2,000 of canon.LABEL_BUDGET's units (the
-Petersen graph's in about 0.2 ms); a query that spends
-containment.SEARCH_BUDGET is INCONCLUSIVE, and the report's sides_agree
-is then None.
+Petersen graph's in about 0.2 ms); a query that spends any of
+containment.LIMITS is INCONCLUSIVE, with a warning naming the limit and
+the graph, and the report's sides_agree is then None.
 """
 
 from __future__ import annotations
@@ -111,8 +111,6 @@ def is_hamiltonian(g: Graph) -> tuple[bool, list[int] | None]:
             f"hamiltonicity search capped at {HAMILTON_MAX_VERTICES} "
             f"vertices, got {n}"
         )
-    if n == 0:
-        return False, None
     if n <= 2:
         return False, None
     if any(g.degree(v) < 2 for v in range(n)):

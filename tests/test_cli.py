@@ -58,7 +58,8 @@ def test_contains_inconclusive_exit(capsys, monkeypatch):
     monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
     monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
     assert_contains_inconclusive(
-        capsys, "C5", "C5", "pivot orbit exceeded the limit of 1 members")
+        capsys, "C5", "C5", "pivot orbit exceeded ORBIT_LIMIT = 1 members "
+        f"on {to_graph6(named_graph('C5'))}")
 
 
 def test_contains_reports_the_search_budget(capsys, monkeypatch):
@@ -326,6 +327,46 @@ def test_reduce_multi_line_file(tmp_path, capsys):
     assert len(data["reports"]) == 2
     assert all(r["sides_agree"] for r in data["reports"])
     assert json.loads(report_path.read_text()) == {"reports": data["reports"]}
+
+
+def test_reduce_reads_its_argument_as_every_other_command_does(
+        tmp_path, monkeypatch, capsys):
+    # a name comes before a file of that name, as in load_graph_arg
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "K3,3").write_text("I?LRCecq?\n")  # the Petersen graph
+    code, out, err = run(capsys, "reduce", "--in", "K3,3")
+    assert code == EXIT_OK, err
+    (report,) = json.loads(out)["reports"]
+    assert report["n"] == 6 and report["sides_agree"] is True
+    assert run(capsys, "convert", "--in", "K3,3", "--to", "g6") == \
+        (EXIT_OK, "EFz_\n", "")
+
+
+def test_reduce_reports_a_spent_search_budget_in_one_line(
+        monkeypatch, capsys):
+    # the Petersen graph's gadget is a FALSE query, so five memo misses
+    # cannot settle it; the report stays, with no verdict to compare
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    monkeypatch.setattr(containment, "SEARCH_BUDGET", 5)
+    code, out, err = run(capsys, "reduce", "--in", "g6:I?LRCecq?")
+    assert code == EXIT_INCONCLUSIVE
+    (report,) = json.loads(out)["reports"]
+    assert report["sides_agree"] is None
+    assert report["contains_verdict"] == "inconclusive"
+    assert err.count("\n") == 1, err
+    assert err.startswith("inconclusive: containment search spent "
+                          "SEARCH_BUDGET = 5 memo misses on host "), err
+
+
+def test_mine_reports_a_full_cache_in_one_line(monkeypatch, capsys):
+    # every refused insert warns the same message, from several callers
+    monkeypatch.setattr(canon, "_FORMS", {})
+    monkeypatch.setattr(canon, "CACHE_CAP", 100)
+    code, out, err = run(capsys, "mine", "--h", "C3", "--nmax", "6")
+    assert code == EXIT_OK
+    assert out
+    assert err.count("\n") == 1, err
+    assert err.startswith("cache full at 100 entries; "), err
 
 
 def test_reduce_disagreement_fails(monkeypatch, capsys):

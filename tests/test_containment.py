@@ -414,19 +414,23 @@ def test_pivot_orbit_basics(monkeypatch):
     with pytest.raises(OrbitLimitError) as err:
         pivot_orbit(named_graph("C5"))
     assert err.value.limit == 1
+    assert err.value.graph6 == to_graph6(named_graph("C5"))
 
 
 def test_inconclusive_propagates_without_caching(monkeypatch):
     g = disjoint_union(named_graph("C5"), Graph(1))
     c5 = named_graph("C5")
     cache = PivotMinorCache()
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, \
+            pytest.warns(RuntimeWarning, match="ORBIT_LIMIT = 1 "):
         patch.setattr(containment, "ORBIT_LIMIT", 1)
         verdict = contains_pivot_minor(g, c5, cache=cache)
     assert verdict is Verdict.INCONCLUSIVE
     assert not cache.verdicts and not cache.children
     # the limit is one constant, so the cache keeps the blown orbit
-    assert contains_pivot_minor(g, c5, cache=cache) is Verdict.INCONCLUSIVE
+    with pytest.warns(RuntimeWarning, match="ORBIT_LIMIT"):
+        assert contains_pivot_minor(g, c5, cache=cache) is \
+            Verdict.INCONCLUSIVE
     assert bool(contains_pivot_minor(g, c5, cache=PivotMinorCache()))
 
 
@@ -464,6 +468,7 @@ def test_pivot_equivalent_names_the_orbit_limit(monkeypatch):
     with pytest.raises(OrbitLimitError) as err:
         pivot_equivalent(c5, pivot(c5, 0, 1))
     assert err.value.limit == 1
+    assert err.value.graph6 == to_graph6(pivot(c5, 0, 1))
 
 
 def test_pivot_equivalent_classes_share_pivot_minors(cache):
@@ -529,12 +534,36 @@ def test_spent_search_budget_is_inconclusive_and_keeps_its_verdicts(
     assert cache.misses - 100 == 2541 - kept
 
 
+@pytest.mark.parametrize("module, limit, value, graph", [
+    (canon, "LABEL_BUDGET", 1 << 10, "C17"),
+    (containment, "ORBIT_LIMIT", 1, "P4"),
+    (containment, "SEARCH_BUDGET", 0, "C17"),
+])
+def test_every_spent_limit_is_one_inconclusive_warning(
+        monkeypatch, module, limit, value, graph):
+    # C17 labels in more than 1,024 units and is a memo miss above P4, and
+    # P4's orbit has more than one member.  Each limit names the graph it
+    # was spent on: the host, or the target for its orbit
+    monkeypatch.setattr(canon, "_FORMS", {})
+    monkeypatch.setattr(module, limit, value)
+    with pytest.warns(RuntimeWarning) as seen:
+        verdict = contains_pivot_minor(named_graph("C17"), named_graph("P4"),
+                                       cache=PivotMinorCache())
+    assert verdict is Verdict.INCONCLUSIVE
+    assert len(seen) == 1
+    message = str(seen[0].message)
+    assert message.startswith("inconclusive: ") and f"{limit} = {value} " \
+        in message and message.endswith(to_graph6(named_graph(graph))), message
+
+
 def test_orbit_limit_counts_the_start_member(monkeypatch):
     monkeypatch.setattr(containment, "ORBIT_LIMIT", 0)
     with pytest.raises(OrbitLimitError):
         pivot_orbit(named_graph("K3"))
-    assert contains_pivot_minor(named_graph("C5"), named_graph("K3"),
-                                cache=PivotMinorCache()) is Verdict.INCONCLUSIVE
+    with pytest.warns(RuntimeWarning, match="ORBIT_LIMIT = 0 "):
+        assert contains_pivot_minor(named_graph("C5"), named_graph("K3"),
+                                    cache=PivotMinorCache()) is \
+            Verdict.INCONCLUSIVE
     monkeypatch.setattr(containment, "ORBIT_LIMIT", 1)
     assert len(pivot_orbit(Graph(2))) == 1
 
