@@ -179,14 +179,11 @@ def _cmd_mine(args) -> int:
             "target": _graph_meta(h),
             "complete_up_to": obs.complete_up_to,
             "members": keys,
-            "inconclusive": sorted(canonical_key(x) for x in obs.inconclusive),
         })
     else:
         for k in keys:
             print(k)
-        if obs.inconclusive:
-            print(f"inconclusive members: {len(obs.inconclusive)}", file=sys.stderr)
-    return EXIT_INCONCLUSIVE if obs.inconclusive else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_check_bound(args) -> int:
@@ -230,17 +227,11 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_TARGET_RES = [
-    (re.compile(r"^(\d+)P1$"), "tP1"),
-    (re.compile(r"^P2\+(\d+)P1$"), "P2+tP1"),
-    (re.compile(r"^P3\+(\d+)P1$"), "P3+tP1"),
-    (re.compile(r"^K1,(\d+)$"), "K1,t"),
-]
-
-
 def _parse_family_target(name: str) -> tuple[str, int] | None:
-    for regex, family in _FAMILY_TARGET_RES:
-        m = regex.match(name.replace(" ", ""))
+    """(family, t) for a family name with the count in place of t."""
+    for family in BOUND_FAMILIES:
+        m = re.fullmatch(re.escape(family).replace("t", r"(\d+)"),
+                         name.replace(" ", ""))
         if m:
             return family, int(m.group(1))
     return None

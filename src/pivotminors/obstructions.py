@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .canon import LABELLING, canonical_form, canonical_key
 from .catalog import complete_multipartite, cycle_graph, path_graph, star_graph
-from .containment import PivotMinorCache, Verdict, contains_pivot_minor
+from . import containment
+from .containment import OrbitLimitError, PivotMinorCache, Verdict, contains_pivot_minor
 from .generate import class_order, extend_by_one_vertex
 from .graphs import Graph, contract_pivot, delete_vertex, disjoint_union
 from .io import from_graph6, to_graph6
@@ -30,13 +31,14 @@ MINE_MAX_VERTICES = 16
 
 @dataclass
 class ObstructionSet:
-    """Result of a mining sweep: minimal obstructions up to an order cap."""
+    """Result of a mining sweep: every minimal obstruction with at most
+    complete_up_to vertices; mining decides every graph or raises."""
 
     target_name: str
     target_key: str
     complete_up_to: int
     members: tuple[Graph, ...]
-    inconclusive: tuple[Graph, ...] = ()
+    inconclusive = ()  # not a field: perfbench's mine-3p1 check still reads it
 
     @property
     def member_keys(self) -> tuple[str, ...]:
@@ -81,18 +83,17 @@ def mine(
     set lookup.  At |h| vertices a candidate contains h when it lies in the
     pivot orbit of h; above that, when one of its one-vertex reductions
     does (the recursion of contains_pivot_minor), which the free class of
-    the order below settles by lookup.  Members and inconclusive graphs
-    come out in generate_all_graphs order, smallest order first.
+    the order below settles by lookup.  Members come out in
+    generate_all_graphs order, smallest order first.
 
     n_max is at most MINE_MAX_VERTICES (16), a limit of mining's own:
     the target's orbit is only needed when |h| <= n_max, and an orbit on
     n vertices has at most 2^(n-1) labelled members, so below the limit it
-    always fits containment.ORBIT_LIMIT with room to spare.  Were it
-    blown, no graph on |h| or more vertices could be decided, and every
-    one of them would be reported in `inconclusive`.  Every candidate is
-    labelled, and a labelling that spends canon.LABEL_BUDGET raises
-    LabellingBudgetError; C16 labels within it.  `cache` serves only the
-    orbit; no containment query is made.
+    always fits containment.ORBIT_LIMIT with room to spare; a blown orbit
+    raises OrbitLimitError.  Every candidate is labelled, and a labelling
+    that spends canon.LABEL_BUDGET raises LabellingBudgetError; C16 labels
+    within it.  `cache` serves only the orbit; no containment query is
+    made.
     """
     if h.n == 0:
         raise ValueError("the empty target is a pivot-minor of everything")
@@ -106,20 +107,20 @@ def mine(
     if cache is None:
         cache = PivotMinorCache()
     th = canonical_form(h)
-    target = None
     if n_max >= th.n:
         target = cache.target_orbit_keys(th)
-    orbit = None if target is None else target[0]
+        if target is None:
+            raise OrbitLimitError(containment.ORBIT_LIMIT, to_graph6(h))
+        orbit = target[0]
     members: list[Graph] = []
-    unresolved: list[Graph] = []
-    # the classes not known to contain h: all of them when the orbit is blown
+    # the classes not known to contain h
     free: set[Graph] = {Graph(0)}
 
     for n in range(1, n_max + 1):
         below, free = free, set()
         found: list[Graph] = []
         for g in extend_by_one_vertex(below):
-            if n < th.n or orbit is None:
+            if n < th.n:
                 free.add(g)
                 continue
             if any(canonical_form(delete_vertex(g, v)) not in below
@@ -137,14 +138,11 @@ def mine(
             else:
                 free.add(g)
         members += sorted(found, key=class_order)
-        if orbit is None and n >= th.n:
-            unresolved += sorted(free, key=class_order)
     return ObstructionSet(
         target_name=target_name or to_graph6(h),
         target_key=canonical_key(h),
         complete_up_to=n_max,
         members=tuple(members),
-        inconclusive=tuple(unresolved),
     )
 
 
@@ -162,15 +160,10 @@ def save_obstruction_set(obs: ObstructionSet, directory: str | Path) -> None:
         "target_key": obs.target_key,
         "complete_up_to": obs.complete_up_to,
         "member_count": len(obs.members),
-        "inconclusive_count": len(obs.inconclusive),
         "members_sha256": hashlib.sha256(lines.encode()).hexdigest(),
         "labelling": LABELLING,
         "tool": {"name": "pivotminors", "version": __version__},
     }
-    if obs.inconclusive:
-        (directory / "inconclusive.g6").write_text(
-            "".join(canonical_key(g) + "\n" for g in obs.inconclusive)
-        )
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -198,16 +191,11 @@ def load_obstruction_set(directory: str | Path) -> ObstructionSet:
     if digest != manifest["members_sha256"]:
         raise ValueError("members.g6 does not match the manifest checksum")
     members = tuple(from_graph6(s) for s in lines.split())
-    inconclusive: tuple[Graph, ...] = ()
-    inc_path = directory / "inconclusive.g6"
-    if inc_path.exists():
-        inconclusive = tuple(from_graph6(s) for s in inc_path.read_text().split())
     return ObstructionSet(
         target_name=manifest["target_name"],
         target_key=manifest["target_key"],
         complete_up_to=manifest["complete_up_to"],
         members=members,
-        inconclusive=inconclusive,
     )
 
 
@@ -224,39 +212,36 @@ def diff_obstruction_sets(a: ObstructionSet, b: ObstructionSet) -> dict:
 
 # -- structured families and their proved order bounds ---------------------
 
-BOUND_FAMILIES = ("tP1", "P2+tP1", "K1,t", "P3+tP1")
+# family -> (least t, target builder, largest order of a minimal obstruction)
+_FAMILIES = {
+    "tP1": (1, Graph, lambda t: 2 ** t - 1),
+    "P2+tP1": (1, lambda t: disjoint_union(path_graph(2), Graph(t)),
+               lambda t: (t + 1) * (2 ** (t + 2) - t - 2)),
+    "K1,t": (2, star_graph,
+             lambda t: (t * t - 1) * (2 ** (t + 1) - t - 3) + 2 * t + 2),
+    "P3+tP1": (1, lambda t: disjoint_union(path_graph(3), Graph(t)),
+               lambda t: (t + 1) * (2 ** (t + 3) - t - 4) + 2),
+}
+BOUND_FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family: str, t: int):
+    """The target builder and order bound of family, for a t it admits."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}, pick one of {BOUND_FAMILIES}")
+    least, build, bound = _FAMILIES[family]
+    if t < least:
+        raise ValueError(f"{family} needs t >= {least}, got t = {t}")
+    return build, bound
 
 
 def family_target(family: str, t: int) -> Graph:
-    if family == "tP1":
-        if t < 1:
-            raise ValueError("tP1 needs t >= 1")
-        return Graph(t)
-    if family == "P2+tP1":
-        if t < 1:
-            raise ValueError("P2+tP1 needs t >= 1")
-        return disjoint_union(path_graph(2), Graph(t))
-    if family == "P3+tP1":
-        if t < 1:
-            raise ValueError("P3+tP1 needs t >= 1")
-        return disjoint_union(path_graph(3), Graph(t))
-    if family == "K1,t":
-        if t < 2:
-            raise ValueError("the star bound is proved for t >= 2 only")
-        return star_graph(t)
-    raise ValueError(f"unknown family {family!r}, pick one of {BOUND_FAMILIES}")
+    return _family(family, t)[0](t)
 
 
 def obstruction_order_bound(family: str, t: int) -> int:
     """Largest possible order of a minimal obstruction for the family."""
-    family_target(family, t)  # validates family name and t range
-    if family == "tP1":
-        return 2 ** t - 1
-    if family == "P2+tP1":
-        return (t + 1) * (2 ** (t + 2) - t - 2)
-    if family == "K1,t":
-        return (t * t - 1) * (2 ** (t + 1) - t - 3) + 2 * t + 2
-    return (t + 1) * (2 ** (t + 3) - t - 4) + 2
+    return _family(family, t)[1](t)
 
 
 @dataclass
@@ -271,7 +256,6 @@ class BoundRecord:
     member_count: int
     covered: bool  # n_max reached the bound, so the sweep is exhaustive
     bound_respected: bool
-    inconclusive_count: int
     obstructions: ObstructionSet = field(repr=False)
 
     def coverage_statement(self) -> str:
@@ -293,7 +277,11 @@ def check_bound(
     *,
     cache: PivotMinorCache | None = None,
 ) -> BoundRecord:
-    """Mine the family target up to n_max and compare with the bound."""
+    """Mine the family target up to n_max and compare with the bound.
+
+    Every graph of the sweep is decided, or mine raises OrbitLimitError
+    or LabellingBudgetError.
+    """
     h = family_target(family, t)
     bound = obstruction_order_bound(family, t)
     obs = mine(h, n_max, target_name=f"{family}[t={t}]", cache=cache)
@@ -307,7 +295,6 @@ def check_bound(
         member_count=len(obs.members),
         covered=n_max >= bound,
         bound_respected=observed is None or observed <= bound,
-        inconclusive_count=len(obs.inconclusive),
         obstructions=obs,
     )
 

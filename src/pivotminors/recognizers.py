@@ -430,7 +430,9 @@ def recognize_bounded(
     When the set stops below the proved order bound the answer "no
     obstruction found" is only conclusive up to that order; such sweeps
     are refused unless allow_truncated is set, and then yield the verdict
-    "free-up-to-truncation" instead of "free".
+    "free-up-to-truncation" instead of "free".  Certifying a found
+    obstruction raises what find_pivot_minor_sequence raises, the error
+    of the limit its search hits (containment.LIMITS).
     """
     h = family_target(family, t)
     bound = obstruction_order_bound(family, t)

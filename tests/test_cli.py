@@ -314,6 +314,32 @@ def test_recognize_unknown_target(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("name,parsed", [
+    ("4P1", ("tP1", 4)), ("P2+2P1", ("P2+tP1", 2)), ("P3+1P1", ("P3+tP1", 1)),
+    ("K1,4", ("K1,t", 4)), ("P2 + 12P1", ("P2+tP1", 12)),
+    ("Q7", None), ("3P2", None), ("tP1", None),
+])
+def test_family_target_names(name, parsed):
+    # each bounded family's name with the count in place of t
+    assert cli._parse_family_target(name) == parsed
+
+
+@pytest.mark.parametrize("argv,graph6", [
+    (["mine", "--h", "C3", "--nmax", "4"], "Bw"),
+    (["check-bound", "--family", "tP1", "--t", "2", "--nmax", "3"], "A?"),
+    (["recognize", "--target", "2P1", "--in", "P3", "--nmax", "3"], "A?"),
+], ids=["mine", "check-bound", "recognize"])
+def test_a_blown_orbit_in_mining_is_one_inconclusive_line(
+        capsys, monkeypatch, argv, graph6):
+    # P3 contains 2P1, so recognize must not answer free on an empty list
+    monkeypatch.setattr(containment, "DEFAULT_CACHE", PivotMinorCache())
+    monkeypatch.setattr(containment, "ORBIT_LIMIT", 0)
+    assert run(capsys, *argv) == (
+        EXIT_INCONCLUSIVE, "",
+        f"inconclusive: pivot orbit exceeded ORBIT_LIMIT = 0 members on "
+        f"{graph6}\n")
+
+
 def test_reduce_multi_line_file(tmp_path, capsys):
     lines = [to_graph6(complete_multipartite([3, 3])),
              to_graph6(named_graph("prism"))]

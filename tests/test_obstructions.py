@@ -8,6 +8,7 @@ import pytest
 
 from pivotminors import (
     Graph,
+    OrbitLimitError,
     PivotMinorCache,
     Verdict,
     canonical_key,
@@ -30,6 +31,7 @@ from pivotminors import (
     path_graph,
     save_obstruction_set,
     star_graph,
+    to_graph6,
 )
 from pivotminors import canon, containment
 from pivotminors.obstructions import MINE_MAX_VERTICES
@@ -83,19 +85,18 @@ def test_mine_matches_the_sweep_of_every_class(k, n_max, cache):
             sweep_every_class(h, n_max, cache), canonical_key(h)
 
 
-@pytest.mark.parametrize("name,n_max,count", [("C3", 5, 49), ("P4", 6, 201)])
-def test_mine_reports_every_graph_behind_a_blown_orbit(name, n_max, count,
-                                                      monkeypatch):
-    # a blown target orbit makes every verdict from |h| up depend on the
-    # orbit, so none may be dropped or decided; C3's orbit is C3 alone,
-    # so only a limit of 0 blows it
+@pytest.mark.parametrize("name,n_max", [("C3", 5), ("P4", 6)])
+def test_mine_raises_on_a_blown_orbit(name, n_max, monkeypatch):
+    # a blown target orbit leaves every graph from |h| up undecided, so
+    # mining raises; C3's orbit is C3 alone, so only a limit of 0 blows it
     monkeypatch.setattr(containment, "ORBIT_LIMIT", 0)
     h = named_graph(name)
-    obs = mine(h, n_max, cache=PivotMinorCache())
-    assert obs.members == ()
-    assert len(obs.inconclusive) == count
-    assert obs.inconclusive == tuple(g for n in range(h.n, n_max + 1)
-                                     for g in generate_all_graphs(n))
+    with pytest.raises(OrbitLimitError, match=re.escape(
+            f"ORBIT_LIMIT = 0 members on {to_graph6(h)}")) as err:
+        mine(h, n_max, cache=PivotMinorCache())
+    assert (err.value.limit, err.value.graph6) == (0, to_graph6(h))
+    # below |h| the orbit is never consulted
+    assert mine(h, h.n - 1, cache=PivotMinorCache()).members == ()
 
 
 def test_mine_rejects_empty_target(cache):
@@ -120,7 +121,6 @@ def test_p2_plus_p1_sweep_reaches_its_bound(cache):
     record = check_bound("P2+tP1", 1, 10, cache=cache)
     assert record.bound == 10
     assert record.covered and record.bound_respected
-    assert record.inconclusive_count == 0
     assert "complete" in record.coverage_statement()
     # P2+P1, C4 and the diamond, in generate_all_graphs order
     assert record.obstructions.member_keys == ("BG", "C]", "C^")
@@ -136,7 +136,6 @@ def test_k12_sweep_reaches_its_bound(cache):
     record = check_bound("K1,t", 2, 15, cache=cache)
     assert record.bound == 15
     assert record.covered and record.bound_respected
-    assert record.inconclusive_count == 0
     assert record.obstructions.member_keys == (canonical_key(path_graph(3)),)
 
 
@@ -163,6 +162,23 @@ def test_saved_manifest_names_its_labelling(tmp_path, cache):
     save_obstruction_set(mine(named_graph("C3"), 4, cache=cache), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["labelling"] == canon.LABELLING == 2
+
+
+def test_a_saved_set_is_its_members_and_manifest(tmp_path, cache):
+    obs = mine(named_graph("C3"), 5, cache=cache, target_name="C3")
+    save_obstruction_set(obs, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["manifest.json", "members.g6"]
+    # a field the loader does not know, and a stray file beside the set,
+    # change nothing it reads
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["inconclusive_count"] = 0
+    path.write_text(json.dumps(manifest))
+    (tmp_path / "inconclusive.g6").write_text("Bw\nCF\n")
+    loaded = load_obstruction_set(tmp_path)
+    assert sorted(loaded.member_keys) == sorted(obs.member_keys)
+    assert len(loaded.members) == len(obs.members) == 2
 
 
 @pytest.mark.parametrize("labelling", [None, 1, 3, 2.0, "2"])
@@ -227,6 +243,14 @@ def test_family_targets():
         family_target("K1,t", 1)  # the star bound needs t >= 2
     with pytest.raises(ValueError):
         family_target("Kt", 2)
+    # a bad t is named with its family and the family's least t
+    for family, least in [("tP1", 1), ("P2+tP1", 1), ("K1,t", 2),
+                          ("P3+tP1", 1)]:
+        message = re.escape(f"{family} needs t >= {least}, got t = {least - 1}")
+        with pytest.raises(ValueError, match=message):
+            family_target(family, least - 1)
+        with pytest.raises(ValueError, match=message):
+            obstruction_order_bound(family, least - 1)
 
 
 def test_order_bound_values():
